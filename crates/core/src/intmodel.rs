@@ -135,10 +135,11 @@ pub enum IntOp {
         /// Grid the weights live on.
         weight_spec: QuantSpec,
     },
-    /// Integer convolution over a prepacked weight — produced by
-    /// [`IntModel::prepack`] from a dense [`IntOp::Conv2d`]. Bit-identical
-    /// to the dense op on the unpacked weights; only the storage layout and
-    /// the kernel's cache blocking differ.
+    /// Integer convolution over a prepacked weight (hand-built graphs;
+    /// [`IntModel::prepack`] leaves convolutions dense, and compiled plans
+    /// unpack this once). Bit-identical to the dense op on the unpacked
+    /// weights; only the storage layout and the kernel's cache blocking
+    /// differ.
     Conv2dPacked {
         /// Prepacked `[OC, C/g, K, K]` weights (column-panel tiles).
         weight: PackedConv,
@@ -830,9 +831,8 @@ impl IntModel {
         }
     }
 
-    /// Converts dense [`IntOp::Linear`] and [`IntOp::Conv2d`] weights to
-    /// their prepacked twins ([`IntOp::LinearPacked`] /
-    /// [`IntOp::Conv2dPacked`]), returning the number of nodes converted.
+    /// Converts dense [`IntOp::Linear`] weights to their prepacked twin
+    /// [`IntOp::LinearPacked`], returning the number of nodes converted.
     ///
     /// This is the serving half of the cache-blocked GEMM path: the weight
     /// is repacked **once** into column-panel tiles so every subsequent
@@ -840,9 +840,12 @@ impl IntModel {
     /// transpose. The transformation is bit-exact — packed ops run the
     /// same per-MAC saturation chain in the same per-element order (see
     /// `t2c_tensor::packed`) — and leaves [`IntModel::weight_bytes`] and
-    /// [`IntModel::weight_sparsity`] invariant. [`IntOp::LinearSparse`]
-    /// nodes are left untouched: their skip-zero kernel already has its
-    /// own layout, and compressing then re-densifying would forfeit it.
+    /// [`IntModel::weight_sparsity`] invariant. [`IntOp::Conv2d`] nodes
+    /// stay dense: compiled plans run convolutions through the direct and
+    /// im2col kernels, which read the dense weight, so no fast path reads
+    /// a [`IntOp::Conv2dPacked`] any more (a hand-built or imported one
+    /// still runs and compiles). [`IntOp::LinearSparse`] nodes are left
+    /// untouched: their skip-zero kernel already has its own layout.
     /// `t2c-serve` calls this at admission, after the lint gate passes.
     pub fn prepack(&mut self) -> usize {
         let mut converted = 0usize;
@@ -855,18 +858,6 @@ impl IntModel {
                         requant: requant.clone(),
                         relu: *relu,
                         weight_spec: *weight_spec,
-                    })
-                }
-                IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec } => {
-                    PackedConv::from_weight(weight, spec.groups).ok().map(|packed| {
-                        IntOp::Conv2dPacked {
-                            weight: packed,
-                            bias: bias.clone(),
-                            spec: *spec,
-                            requant: requant.clone(),
-                            relu: *relu,
-                            weight_spec: *weight_spec,
-                        }
                     })
                 }
                 _ => None,
@@ -1548,8 +1539,8 @@ mod tests {
         let dense = m.clone();
         let bytes = dense.weight_bytes();
         let sparsity = dense.weight_sparsity();
-        assert_eq!(m.prepack(), 2);
-        assert_eq!(m.nodes[1].op.label(), "conv2d_packed");
+        assert_eq!(m.prepack(), 1);
+        assert_eq!(m.nodes[1].op.label(), "conv2d_int", "convolutions stay dense");
         assert_eq!(m.nodes[3].op.label(), "linear_packed");
         // Prepacking is pure layout: storage accounting and the sparsity
         // audit are invariant, and outputs are bit-identical.

@@ -92,15 +92,29 @@ impl MulQuant {
     /// applying the integer ReLU (`max(0, ·)`) before the clamp — the
     /// exact per-element computation of [`MulQuant::apply`], exposed as a
     /// scalar so fused-kernel epilogues can call it per output element.
+    #[inline]
     pub fn apply_scalar_relu(&self, acc: i32, ch: usize, relu: bool) -> i32 {
+        let mut v = [acc];
+        self.apply_row_relu(&mut v, ch, relu);
+        v[0]
+    }
+
+    /// Requantizes, in place, a run of accumulator values that all belong
+    /// to channel `ch` — [`MulQuant::apply_scalar_relu`] on each, with the
+    /// channel's factors looked up once.
+    #[inline]
+    pub fn apply_row_relu(&self, vals: &mut [i32], ch: usize, relu: bool) {
         let i = ch.min(self.scale_raw.len() - 1);
-        let v =
-            acc as i64 * self.scale_raw[i] as i64 + self.bias_raw[i.min(self.bias_raw.len() - 1)];
-        let mut shifted = round_shift(v, self.format.frac_bits);
-        if relu {
-            shifted = shifted.max(0);
+        let (m, b) = (i64::from(self.scale_raw[i]), self.bias_raw[i.min(self.bias_raw.len() - 1)]);
+        let (lo, hi) = (i64::from(self.out_spec.qmin()), i64::from(self.out_spec.qmax()));
+        let frac = self.format.frac_bits;
+        for v in vals {
+            let mut shifted = round_shift(i64::from(*v) * m + b, frac);
+            if relu {
+                shifted = shifted.max(0);
+            }
+            *v = shifted.clamp(lo, hi) as i32;
         }
-        shifted.clamp(self.out_spec.qmin() as i64, self.out_spec.qmax() as i64) as i32
     }
 
     /// Requantizes an accumulator tensor. `ch_axis` selects which axis

@@ -1,26 +1,54 @@
-//! Compiled execution plans: fused GEMM epilogues + arena inference.
+//! Compiled execution plans: per-layer kernel choice, fused epilogues and
+//! arena inference.
 //!
 //! [`IntModel::compile`] lowers the interpreted node graph into an
 //! [`ExecPlan`] — a flat step list that the serving hot path replays with
-//! **zero steady-state heap allocations** (convolution and batched-matmul
-//! steps excepted; see [`ExecPlan::steady_allocs`]):
+//! **zero steady-state heap allocations** (batched-matmul steps excepted;
+//! see [`ExecPlan::steady_allocs`]):
 //!
-//! 1. **Fusion.** Every `Linear` / `LinearPacked` / `LinearSparse` /
-//!    `Conv2d` / `Conv2dPacked` node — which the interpreter runs as up to
+//! 1. **Kernel selection.** Every MAC node gets one kernel from a small
+//!    menu, chosen from static properties of its weight — no timing at
+//!    compile time, no configuration:
+//!
+//!    | node                         | kernel ([`ExecPlan::kernels`])       |
+//!    |------------------------------|--------------------------------------|
+//!    | `Linear` / `LinearPacked`    | `packed-gemm`: 64-wide panel GEMM    |
+//!    | `LinearSparse`, stored density ≥ [`DENSIFY_DENSITY`] | `packed-gemm` on the densified weight |
+//!    | `LinearSparse`, sparser      | `spmm`: skip-zero sparse product     |
+//!    | `Conv2d`, one input and one output channel per group | `dwconv-direct`: per-channel direct kernel |
+//!    | any other `Conv2d`           | `im2col-gemm`: im2col into the arena scratch + weight-stationary GEMM |
+//!
+//!    `Conv2dPacked` nodes are unpacked once and take the `Conv2d` rows.
+//!    The rules come from measurements on a 2-core Xeon host at one
+//!    thread. The zoo CNNs have 1 (depthwise) to 32 output channels per
+//!    group, so the 64-wide packed panels the plan used to run every conv
+//!    through were 50–98% padding: MobileNet's depthwise convs ran at
+//!    0.06 GMAC/s and took most of its plan time. The direct kernel runs
+//!    them at 0.83 GMAC/s and the im2col GEMM runs ResNet's 3×3 convs at
+//!    2.7 GMAC/s (0.73 packed). Per call at batch 1 (median of ten runs
+//!    of the deployment benchmark's `zoo-plan` workload), MobileNet went
+//!    from 898 to 170 µs, ResNet from 833 to 219 µs and ViT, through its
+//!    patch embedding, from 330 to 271 µs. The sparse crossover is
+//!    measured in [`DENSIFY_DENSITY`]'s docs; densified, the 2:4 MLP went
+//!    from 14.5 to 9.8 µs, level with the dense MLP's 9.9 µs.
+//! 2. **Fusion.** Each MAC node — which the interpreter runs as up to
 //!    four full-tensor passes (MAC, channel bias, `MulQuant` requant +
 //!    ReLU, optionally a following `GeluLut`) — becomes one fused step.
-//!    The packed tile loops of `t2c_tensor::fused` apply the whole
-//!    epilogue per output element as it leaves the accumulator tile, so
-//!    the wide `i32` intermediate never materializes. Dense weights are
-//!    packed **once, at compile time** (the interpreter's dense path
-//!    re-packs the weight on every call); sparse column indices are
-//!    likewise precomputed. A `GeluLut` node is folded into its producer
-//!    when it is the producer's sole consumer.
-//! 2. **Liveness + arena.** A last-use pass computes, per node, the step
+//!    The kernels of `t2c_tensor::fused` apply the whole epilogue as
+//!    outputs leave the accumulator (per element for the GEMMs, per
+//!    output-channel row in place for the convolutions), so the wide
+//!    `i32` intermediate never materializes. Weights are laid out **once,
+//!    at compile time** (the interpreter's dense path re-packs the weight
+//!    on every call); sparse column indices and per-channel `Σ|w|` bounds
+//!    are likewise precomputed. A `GeluLut` node is folded into its
+//!    producer when it is the producer's sole consumer.
+//! 3. **Liveness + arena.** A last-use pass computes, per node, the step
 //!    after which its output is dead; a greedy best-fit allocator then
 //!    assigns every output an offset in one shared scratch arena,
 //!    returning freed intervals to a coalescing free list. The arena is
-//!    sized at compile time ([`ExecPlan::arena_bytes`] per sample) and
+//!    sized at compile time ([`ExecPlan::arena_bytes`] per sample, plus a
+//!    batch-independent [`ExecPlan::scratch_bytes`] im2col region holding
+//!    one (image, group) patch block of the largest convolution) and
 //!    reused across batches — [`Arena`] grows monotonically and never
 //!    shrinks, so steady-state inference touches the allocator only when
 //!    a larger batch arrives.
@@ -31,9 +59,10 @@
 //! `T2C_THREADS` setting, by composition of two arguments:
 //!
 //! * The fused kernels keep the per-output-element reduction order and
-//!   per-MAC saturation chain of the unfused kernels untouched (see
-//!   `t2c_tensor::fused`); only *where* the finished accumulator is
-//!   written changes.
+//!   per-MAC saturation chain of the interpreter's kernels, or take an
+//!   unclamped `i32` chain only where a `Σ|w| · max|x|` bound proves the
+//!   clamp can never engage (see `t2c_tensor::fused`). Densifying a
+//!   sparse weight only adds zero products, which the chain skips.
 //! * Every epilogue stage is the exact per-element scalar the interpreter
 //!   applies tensor-wide — the same `saturating_add`/clamp channel bias,
 //!   [`MulQuant::apply_scalar_relu`] requant and [`GeluLut::lookup`] —
@@ -54,8 +83,8 @@
 
 use t2c_tensor::ops::{Conv2dSpec, PoolSpec};
 use t2c_tensor::{
-    conv2d_fused_into, gemm_fused_into, spmm_fused_into, PackedConv, PackedMat, SparseMat, Tensor,
-    TensorError,
+    conv_gemm_fused_into, dwconv_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight,
+    PackedMat, SparseMat, Tensor, TensorError,
 };
 
 use crate::fixed::FixedScalar;
@@ -69,8 +98,9 @@ use crate::qconfig::QuantSpec;
 use crate::Result;
 
 /// A reusable scratch buffer for plan execution. One arena per worker: it
-/// grows monotonically to the largest `arena_words × batch` seen and is
-/// reused across batches, so steady-state inference allocates nothing.
+/// grows monotonically to the largest `arena_words × batch` seen (plus
+/// the plan's batch-independent im2col scratch) and is reused across
+/// batches, so steady-state inference allocates nothing.
 #[derive(Debug, Default)]
 pub struct Arena {
     buf: Vec<i32>,
@@ -112,21 +142,32 @@ struct Epilogue {
 impl Epilogue {
     #[inline]
     fn apply(&self, acc: i32, ch: usize) -> i32 {
-        let mut v = acc;
-        if let Some(b) = &self.bias {
-            if !b.is_empty() {
-                v = i64::from(v)
-                    .saturating_add(b[ch.min(b.len() - 1)])
+        let mut v = [acc];
+        self.apply_row(&mut v, ch);
+        v[0]
+    }
+
+    /// Applies the epilogue in place to a run of accumulators that all
+    /// belong to channel `ch`, one stage at a time (each stage's channel
+    /// constants are looked up once per run).
+    #[inline]
+    fn apply_row(&self, row: &mut [i32], ch: usize) {
+        if let Some(b) = self.bias.as_deref().filter(|b| !b.is_empty()) {
+            let bv = b[ch.min(b.len() - 1)];
+            for v in row.iter_mut() {
+                *v = i64::from(*v)
+                    .saturating_add(bv)
                     .clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
             }
         }
         if let Some(r) = &self.requant {
-            v = r.apply_scalar_relu(v, ch, self.relu);
+            r.apply_row_relu(row, ch, self.relu);
         }
         if let Some(l) = &self.lut {
-            v = l.lookup(v);
+            for v in row.iter_mut() {
+                *v = l.lookup(*v);
+            }
         }
-        v
     }
 
     /// Graph nodes this epilogue absorbs beyond the MAC node itself.
@@ -168,15 +209,11 @@ enum Step {
     Gemm { src: Src, dst: usize, weight: PackedMat, epi: Epilogue },
     /// Fused sparse linear: skip-zero matmul + epilogue.
     Spmm { src: Src, dst: usize, weight: SparseMat, cols: Vec<u32>, epi: Epilogue },
-    /// Fused convolution: packed conv + epilogue (allocates im2col).
-    Conv {
-        src: Src,
-        dst: usize,
-        weight: PackedConv,
-        spec: Conv2dSpec,
-        epi: Epilogue,
-        in_dims: [usize; 4],
-    },
+    /// Fused depthwise convolution: direct per-channel kernel + epilogue.
+    DwConv { src: Src, dst: usize, weight: ConvWeight, epi: Epilogue },
+    /// Fused convolution: im2col into the arena scratch, weight-stationary
+    /// GEMM + epilogue.
+    ConvGemm { src: Src, dst: usize, weight: ConvWeight, epi: Epilogue },
     /// Residual add with per-branch rescale.
     AddRequant {
         a: Src,
@@ -232,7 +269,8 @@ impl Step {
             | Step::Copy { dst, .. }
             | Step::Gemm { dst, .. }
             | Step::Spmm { dst, .. }
-            | Step::Conv { dst, .. }
+            | Step::DwConv { dst, .. }
+            | Step::ConvGemm { dst, .. }
             | Step::AddRequant { dst, .. }
             | Step::AddConst { dst, .. }
             | Step::MaxPool { dst, .. }
@@ -257,7 +295,8 @@ impl Step {
             Step::Copy { src, .. }
             | Step::Gemm { src, .. }
             | Step::Spmm { src, .. }
-            | Step::Conv { src, .. }
+            | Step::DwConv { src, .. }
+            | Step::ConvGemm { src, .. }
             | Step::AddConst { src, .. }
             | Step::MaxPool { src, .. }
             | Step::GlobalAvgPool { src, .. }
@@ -273,7 +312,39 @@ impl Step {
             Step::AddRequant { a, b, .. } | Step::Bmm { a, b, .. } => vec![*a, *b],
         }
     }
+
+    /// The kernel chosen for a MAC step (see the module docs' kernel
+    /// menu); `None` for the other steps, which have no choice to make.
+    fn kernel(&self) -> Option<&'static str> {
+        match self {
+            Step::Gemm { .. } => Some("packed-gemm"),
+            Step::Spmm { .. } => Some("spmm"),
+            Step::DwConv { .. } => Some("dwconv-direct"),
+            Step::ConvGemm { .. } => Some("im2col-gemm"),
+            _ => None,
+        }
+    }
 }
+
+/// Stored density (stored slots over dense elements) at or above which a
+/// `LinearSparse` layer is densified into the packed GEMM at compile
+/// time; sparser layers keep the skip-zero `Spmm` kernel.
+///
+/// Measured on a `[128, 256]` weight (the zoo MLP's fc1 shape) at one
+/// thread on a 2-core Xeon host, median of five runs, packed GEMM vs
+/// skip-zero SpMM:
+///
+/// | stored density | batch 1        | batch 8          |
+/// |----------------|----------------|------------------|
+/// | 0.10           | 8.1 vs 3.2 µs  | 63.9 vs 26.7 µs  |
+/// | 0.20           | 9.0 vs 8.1 µs  | 66.5 vs 56.7 µs  |
+/// | 0.25           | 8.4 vs 8.4 µs  | 66.5 vs 67.5 µs  |
+/// | 0.30           | 8.4 vs 10.2 µs | 71.8 vs 81.7 µs  |
+/// | 0.50 (2:4)     | 8.4 vs 19.9 µs | 78.7 vs 207.0 µs |
+///
+/// The packed GEMM's cost does not depend on density; SpMM's grows with
+/// it and crosses the GEMM at 0.25 at both batch sizes.
+pub const DENSIFY_DENSITY: f64 = 0.25;
 
 /// A compiled, shape-specialized execution plan (see the module docs).
 /// Built by [`IntModel::compile`]; the model graph itself is untouched,
@@ -284,6 +355,8 @@ pub struct ExecPlan {
     steps: Vec<Step>,
     slots: Vec<Slot>,
     arena_words: usize,
+    /// Batch-independent im2col scratch after the batch-scaled slots.
+    scratch_words: usize,
     input_dims1: Vec<usize>,
     out_dims1: Vec<usize>,
     out_node: usize,
@@ -379,6 +452,7 @@ impl IntModel {
         let mut steps = Vec::with_capacity(n);
         let mut fused_nodes = 0usize;
         let mut steady_allocs = 0usize;
+        let mut scratch_words = 0usize;
         for (i, node) in self.nodes.iter().enumerate() {
             if folded[i] {
                 continue;
@@ -435,12 +509,18 @@ impl IntModel {
                         lut: lut_of(i),
                     };
                     fused_nodes += 1 + epi.folded();
-                    Step::Spmm {
-                        src: operand(0)?,
-                        dst,
-                        cols: weight.col_indices(),
-                        weight: weight.clone(),
-                        epi,
+                    let dense = weight.rows * weight.cols;
+                    if weight.stored() as f64 >= DENSIFY_DENSITY * dense as f64 {
+                        let weight = PackedMat::from_weight(&weight.to_dense())?;
+                        Step::Gemm { src: operand(0)?, dst, weight, epi }
+                    } else {
+                        Step::Spmm {
+                            src: operand(0)?,
+                            dst,
+                            cols: weight.col_indices(),
+                            weight: weight.clone(),
+                            epi,
+                        }
                     }
                 }
                 IntOp::Conv2d { weight, bias, spec, requant, relu, .. } => {
@@ -452,14 +532,7 @@ impl IntModel {
                     };
                     fused_nodes += 1 + epi.folded();
                     let src = operand(0)?;
-                    Step::Conv {
-                        dst,
-                        weight: PackedConv::from_weight(weight, spec.groups)?,
-                        spec: *spec,
-                        epi,
-                        in_dims: geo4(&src),
-                        src,
-                    }
+                    conv_step(src, dst, weight, *spec, geo4(&src), epi)?
                 }
                 IntOp::Conv2dPacked { weight, bias, spec, requant, relu, .. } => {
                     weight.validate()?;
@@ -471,14 +544,7 @@ impl IntModel {
                     };
                     fused_nodes += 1 + epi.folded();
                     let src = operand(0)?;
-                    Step::Conv {
-                        dst,
-                        weight: weight.clone(),
-                        spec: *spec,
-                        epi,
-                        in_dims: geo4(&src),
-                        src,
-                    }
+                    conv_step(src, dst, &weight.unpack()?, *spec, geo4(&src), epi)?
                 }
                 IntOp::AddRequant { m_a, m_b, out_spec, relu } => Step::AddRequant {
                     a: operand(0)?,
@@ -559,7 +625,10 @@ impl IntModel {
                 IntOp::GeluLut(lut) => Step::Gelu { src: operand(0)?, dst, lut: lut.clone() },
             };
             match &step {
-                Step::Conv { .. } | Step::Bmm { .. } => steady_allocs += 1,
+                Step::Bmm { .. } => steady_allocs += 1,
+                Step::ConvGemm { weight, .. } => {
+                    scratch_words = scratch_words.max(weight.scratch_words());
+                }
                 _ => {}
             }
             steps.push(step);
@@ -620,6 +689,7 @@ impl IntModel {
             steps,
             slots,
             arena_words,
+            scratch_words,
             input_dims1: dims1,
             out_dims1: shapes[out_node].clone(),
             out_node,
@@ -628,6 +698,25 @@ impl IntModel {
             steady_allocs,
         })
     }
+}
+
+/// Selects the convolution kernel from the weight's static shape: the
+/// direct kernel for depthwise convs, im2col + weight-stationary GEMM for
+/// every other conv (module docs).
+fn conv_step(
+    src: Src,
+    dst: usize,
+    weight: &Tensor<i32>,
+    spec: Conv2dSpec,
+    in_dims: [usize; 4],
+    epi: Epilogue,
+) -> Result<Step> {
+    let weight = ConvWeight::new(weight, spec, [in_dims[1], in_dims[2], in_dims[3]])?;
+    Ok(if weight.is_depthwise() {
+        Step::DwConv { src, dst, weight, epi }
+    } else {
+        Step::ConvGemm { src, dst, weight, epi }
+    })
 }
 
 /// Returns `(offset, len)` intervals to an offset-sorted free list,
@@ -685,17 +774,28 @@ impl ExecPlan {
         self.fused_nodes
     }
 
-    /// Number of steps that still heap-allocate per execution
-    /// (convolutions build their im2col patch matrix, batched matmuls run
-    /// the tensor kernel); 0 for pure MLP/GEMM pipelines.
+    /// Number of steps that still heap-allocate per execution (batched
+    /// matmuls run the tensor kernel); 0 for MLP and CNN pipelines.
     pub fn steady_allocs(&self) -> usize {
         self.steady_allocs
     }
 
     /// Peak arena footprint per sample, in bytes. The runtime arena holds
-    /// `arena_bytes() × batch`.
+    /// `arena_bytes() × batch` plus [`ExecPlan::scratch_bytes`].
     pub fn arena_bytes(&self) -> usize {
         self.arena_words * 4
+    }
+
+    /// The batch-independent im2col scratch region of the arena, in bytes:
+    /// one (image, group) patch block of the largest convolution.
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch_words * 4
+    }
+
+    /// The kernel chosen for each MAC step, in execution order, as
+    /// `(graph node whose value the step produces, kernel name)`.
+    pub fn kernels(&self) -> impl Iterator<Item = (usize, &'static str)> + '_ {
+        self.steps.iter().filter_map(|s| s.kernel().map(|k| (s.dst(), k)))
     }
 
     /// The batch-1 input shape the plan was compiled for.
@@ -744,9 +844,10 @@ impl ExecPlan {
     ) -> Result<()> {
         let bs = self.batch_of(x.dims())?;
         let xs = x.as_slice();
-        let buf = arena.ensure(self.arena_words * bs);
+        let words = self.arena_words * bs;
+        let (buf, scratch) = arena.ensure(words + self.scratch_words).split_at_mut(words);
         for step in &self.steps {
-            exec_step(step, &self.slots, xs, bs, buf)?;
+            exec_step(step, &self.slots, xs, bs, buf, scratch)?;
         }
         out.clear();
         let slot = self.slots[self.out_node];
@@ -846,7 +947,14 @@ fn scale3(mut d: [usize; 3], bs: usize) -> [usize; 3] {
 
 /// Executes one step against the arena: the destination interval is
 /// split out of `buf` mutably, operands resolve through [`read_slice`].
-fn exec_step(step: &Step, slots: &[Slot], xs: &[i32], bs: usize, buf: &mut [i32]) -> Result<()> {
+fn exec_step(
+    step: &Step,
+    slots: &[Slot],
+    xs: &[i32],
+    bs: usize,
+    buf: &mut [i32],
+    scratch: &mut [i32],
+) -> Result<()> {
     if matches!(step, Step::InputAlias { .. }) {
         return Ok(()); // the input itself is the value
     }
@@ -869,13 +977,12 @@ fn exec_step(step: &Step, slots: &[Slot], xs: &[i32], bs: usize, buf: &mut [i32]
             let rows = x.len() / weight.cols.max(1);
             spmm_fused_into(x, rows, weight, cols, &|acc, ch| epi.apply(acc, ch), dbuf)?;
         }
-        Step::Conv { src, weight, spec, epi, in_dims, .. } => {
-            // The conv kernel's im2col is tensor-based; this copy (plus
-            // the kernel's internal scratch) is what `steady_allocs`
-            // reports.
+        Step::DwConv { src, weight, epi, .. } => {
+            dwconv_fused_into(rd(*src)?, weight, &|row, ch| epi.apply_row(row, ch), dbuf)?;
+        }
+        Step::ConvGemm { src, weight, epi, .. } => {
             let x = rd(*src)?;
-            let xt = Tensor::from_vec(x.to_vec(), &scale4(*in_dims, bs))?;
-            conv2d_fused_into(&xt, weight, *spec, &|acc, ch| epi.apply(acc, ch), dbuf)?;
+            conv_gemm_fused_into(x, weight, scratch, &|row, ch| epi.apply_row(row, ch), dbuf)?;
         }
         Step::AddRequant { a, b, m_a, m_b, out_spec, relu, .. } => {
             let (av, bv) = (rd(*a)?, rd(*b)?);

@@ -5,6 +5,8 @@
 //! grid. Randomized conv models + randomized full-range inputs check that
 //! the interval analysis really is sound against the deployed kernels.
 
+use std::sync::{Mutex, PoisonError};
+
 use proptest::prelude::*;
 use t2c_core::intmodel::{IntOp, Src};
 use t2c_core::{FixedPointFormat, IntModel, MulQuant, QuantSpec};
@@ -38,10 +40,15 @@ fn conv_model(weights: Vec<i32>, shape: [usize; 4], scale: f32, relu: bool) -> I
     m
 }
 
+/// Serializes the tests' use of the process-global profiling counters:
+/// run concurrently, one test's clipped outputs land in the other's count.
+static OBS: Mutex<()> = Mutex::new(());
+
 /// Runs `model` on input codes (already on the 4-bit grid) and returns the
 /// runtime saturation count the requantizer epilogue observed.
 fn saturated_after_run(model: &IntModel, codes: &[i32], dims: &[usize]) -> u64 {
     let x = Tensor::from_vec(codes.iter().map(|&c| c as f32).collect(), dims).unwrap();
+    let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
     t2c_obs::set_enabled(true);
     t2c_obs::reset();
     model.run(&x).expect("clean model must run");

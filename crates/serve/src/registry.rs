@@ -458,11 +458,13 @@ impl ModelRegistry {
             return Err(AdmissionError::BadModel("model must start with a Quantize node".into()));
         };
         let (input_scale, input_spec) = (*scale, *spec);
-        // Admission is the serving boundary: every dense conv/linear is
+        // Admission is the serving boundary: every dense linear is
         // repacked once into the cache-blocked panel layout here, so the
-        // hot path never pays a per-call weight transform. The lint gate
-        // above ran on the dense graph; prepacking is bit-identical, so
-        // the verdict carries over. Sparse layers keep their own encoding.
+        // interpreter fallback never pays a per-call weight transform.
+        // Convolutions stay dense — the compiled plan's direct and im2col
+        // kernels read the dense weight — and sparse layers keep their
+        // own encoding. The lint gate above ran on the dense graph;
+        // prepacking is bit-identical, so the verdict carries over.
         let packed = model.prepack();
         if packed > 0 && t2c_obs::enabled() {
             t2c_obs::counter_add("serve.prepacked_layers", packed as u64);

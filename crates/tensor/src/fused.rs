@@ -1,22 +1,52 @@
-//! Fused integer kernels: the packed/sparse tile loops with a
-//! caller-supplied per-element epilogue.
+//! Fused integer kernels: MAC loops with a caller-supplied epilogue.
 //!
 //! Compiled execution plans (`t2c-core`'s `plan` module) collapse the
 //! interpreter's `MAC → bias → requant → activation` node chain into a
-//! single kernel call. The kernels here are the same cache-blocked loops
-//! as [`crate::packed`] and [`crate::sparse`], except that at the moment
-//! an output element leaves the per-worker accumulator it passes through
-//! `epi(acc, out_channel)` and the **narrow** requantized value is written
-//! to the caller's buffer — the wide `i32` accumulator block never
-//! materializes as a full tensor.
+//! single kernel call. The kernels write the **narrow** epilogue result
+//! into the caller's buffer; the wide `i32` accumulator never
+//! materializes as a separate tensor.
+//!
+//! * [`gemm_fused_into`] / [`spmm_fused_into`] — the cache-blocked
+//!   [`crate::packed`] and skip-zero [`crate::sparse`] loops; each output
+//!   element passes through `epi(acc, out_channel)` as it leaves the
+//!   per-worker accumulator.
+//! * [`dwconv_fused_into`] — direct depthwise convolution: reads each
+//!   NCHW input plane in place (no im2col), tap by tap, accumulating the
+//!   output plane in the destination.
+//! * [`conv_gemm_fused_into`] — every other convolution: im2col of one
+//!   (image, group) into caller scratch, then a weight-stationary
+//!   `[ocg, k] × [k, oh·ow]` product whose output rows are the
+//!   destination's spatial-contiguous channel rows (the interpreter's
+//!   orientation). 1×1 stride-1 unpadded convs skip the im2col: their
+//!   input block already is the patch block.
+//!
+//! The convolution kernels accumulate whole output-channel rows in place
+//! and then call `epi(row, out_channel)` to rewrite the row, so the
+//! epilogue looks up its per-channel constants once per row.
 //!
 //! # Bit-identity
 //!
-//! The accumulation order is untouched: for any fixed output element the
-//! reduction index still ascends with the same per-MAC saturation chain as
-//! the unfused kernels (see the `packed`/`sparse` module docs), and the
-//! epilogue is a pure per-element function of the finished accumulator and
-//! its output channel — exactly what the interpreter's separate
+//! The interpreter's kernels clamp the `i64` accumulator back into `i32`
+//! after **every** MAC, in ascending reduction order; a zero product is a
+//! no-op. The GEMM/SpMM kernels keep that order and chain for every
+//! output element (see the `packed`/`sparse` module docs). The
+//! convolution kernels visit each output element's reduction index
+//! `(ci, ki, kj)` in ascending order too, skipping only zero weights and
+//! padding taps (zero products), and choose per output row between two
+//! chains:
+//!
+//! * **saturation-free `i32`**: when `Σ|w|` of the output channel
+//!   (computed when the weight is prepared) × `max|x|` over the input
+//!   group (computed per call) is at most `i32::MAX`, every partial sum
+//!   of every element of the row is bounded by it, so the per-MAC clamp
+//!   provably never engages and plain `i32` multiply-adds (which the
+//!   compiler vectorizes, and which may be regrouped) give the same
+//!   result;
+//! * **clamped `i64`**: otherwise, the reference chain itself, in
+//!   ascending order.
+//!
+//! Every epilogue is a pure function of the finished accumulator and its
+//! output channel — exactly what the interpreter's separate
 //! bias/requant/LUT passes compute element-wise. Workers own disjoint
 //! output units, so results are bit-identical to the unfused chain at any
 //! thread count.
@@ -29,16 +59,16 @@
 //! re-walking the weight per inference would defeat the point of the
 //! fused path. A corrupted structure panics on an out-of-bounds index
 //! (this crate forbids `unsafe`), it cannot read out of bounds.
+//! [`ConvWeight`] keeps its fields private, so its `Σ|w|` bounds always
+//! match its weights.
 //!
-//! `gemm_fused_into` and `spmm_fused_into` perform **zero heap
-//! allocations** when the resolved worker count is 1 (the accumulator tile
-//! lives on the stack); `conv2d_fused_into` allocates its im2col patch
-//! matrix and per-worker scratch like the unfused path.
+//! Every kernel here performs **zero heap allocations** when the resolved
+//! worker count is 1: accumulator tiles live on the stack, convolutions
+//! accumulate in the destination, and the im2col patch block lives in
+//! caller-provided scratch.
 
-use crate::ops::Conv2dSpec;
-use crate::packed::{
-    conv2d_packed_epi, conv2d_packed_shape, packed_tile, PackedConv, PackedMat, MR, PANEL,
-};
+use crate::ops::{require_rank, Conv2dSpec};
+use crate::packed::{max_abs, packed_tile, PackedMat, MR, PANEL};
 use crate::parallel::par_units;
 use crate::sparse::{spmm_rows, SparseMat, SPMM_BLOCK};
 use crate::{Result, Tensor, TensorError};
@@ -172,39 +202,360 @@ where
     Ok(())
 }
 
-/// Packed 2-D convolution with fused epilogue: `[N,C,H,W]` ⊛ packed
-/// `[OC,C/g,KH,KW]`, writing `epi(acc, oc)` (where `oc` is the output
-/// channel) into `out` in `[N,OC,OH,OW]` order, and returning that shape.
+/// A dense `[oc, cg, kh, kw]` convolution weight prepared, for one input
+/// sample shape, for the fused convolution kernels
+/// ([`dwconv_fused_into`], [`conv_gemm_fused_into`]).
 ///
-/// Bit-identical to [`crate::packed::conv2d_i32_packed`] followed by an
-/// element-wise `epi` pass, at any thread count. Unlike the GEMM entry
-/// points this allocates (im2col + per-worker scratch), matching the
-/// unfused path.
+/// Besides the weight rows in their dense `[oc, cg·kh·kw]` flattening it
+/// keeps `Σ|w|` per output channel: the compile-time half of the
+/// saturation-free bound (module docs). Fields are private so the bound
+/// always matches the weights.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvWeight {
+    in_chw: [usize; 3],
+    oc: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    oh: usize,
+    ow: usize,
+    rows: Vec<i32>,
+    abs_sum: Vec<u64>,
+}
+
+impl ConvWeight {
+    /// Prepares `weight` for per-sample inputs of shape `in_chw`
+    /// (`[C, H, W]`).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `weight` or `in_chw` has a zero dimension, the
+    /// weight is not rank 4, or it disagrees with the input channels,
+    /// groups or spatial extent.
+    pub fn new(weight: &Tensor<i32>, spec: Conv2dSpec, in_chw: [usize; 3]) -> Result<Self> {
+        require_rank(weight, 4, "ConvWeight::new")?;
+        let (oc, cg, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
+        let [c, h, w] = in_chw;
+        let g = spec.groups;
+        if oc == 0 || cg == 0 || g == 0 || c % g != 0 || oc % g != 0 || cg != c / g {
+            return Err(TensorError::InvalidGeometry(format!(
+                "conv weight [{oc}, {cg}, {kh}, {kw}] with {g} group(s) cannot read {c} channel(s)"
+            )));
+        }
+        if h == 0 || w == 0 {
+            return Err(TensorError::InvalidGeometry(format!("empty input plane {h}x{w}")));
+        }
+        let (oh, ow) = (spec.out_extent(h, kh)?, spec.out_extent(w, kw)?);
+        let rows = weight.as_slice().to_vec();
+        let abs_sum =
+            rows.chunks(cg * kh * kw).map(|r| r.iter().map(|v| u64::from(v.unsigned_abs())).sum());
+        let abs_sum = abs_sum.collect();
+        Ok(ConvWeight { in_chw, oc, kh, kw, spec, oh, ow, rows, abs_sum })
+    }
+
+    /// One input and one output channel per group: the direct kernel's
+    /// case.
+    pub fn is_depthwise(&self) -> bool {
+        self.spec.groups == self.in_chw[0] && self.spec.groups == self.oc
+    }
+
+    /// Words of im2col scratch [`conv_gemm_fused_into`] needs: one
+    /// (image, group) patch block `[cg·kh·kw, oh·ow]`, or none for a 1×1,
+    /// stride-1, unpadded conv, whose patch block is its input.
+    pub fn scratch_words(&self) -> usize {
+        if self.im2col_is_identity() {
+            0
+        } else {
+            self.k() * self.l()
+        }
+    }
+
+    /// Output values per sample (`oc · oh · ow`).
+    fn out_len(&self) -> usize {
+        self.oc * self.l()
+    }
+
+    fn im2col_is_identity(&self) -> bool {
+        self.kh == 1 && self.kw == 1 && self.spec.stride == 1 && self.spec.padding == 0
+    }
+
+    fn k(&self) -> usize {
+        self.in_chw[0] / self.spec.groups * self.kh * self.kw
+    }
+
+    fn l(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// The batch `x` and `out` hold, if both are whole samples of it.
+    fn batch(&self, x: &[i32], out: &[i32], op: &str) -> Result<usize> {
+        let in_len: usize = self.in_chw.iter().product();
+        let n = x.len() / in_len;
+        if x.len() != n * in_len || out.len() != n * self.out_len() {
+            return Err(TensorError::InvalidArgument(format!(
+                "{op}: {} inputs / {} outputs are not whole samples of {:?} -> [{}, {}, {}]",
+                x.len(),
+                out.len(),
+                self.in_chw,
+                self.oc,
+                self.oh,
+                self.ow
+            )));
+        }
+        Ok(n)
+    }
+}
+
+/// Whether `Σ|w| · max|x|` keeps every partial sum of an output element
+/// within the `i32` rails, so the per-MAC clamp can never engage.
+fn saturation_free(abs_sum: u64, x_max: u32) -> bool {
+    abs_sum.saturating_mul(u64::from(x_max)) <= i32::MAX as u64
+}
+
+/// One multiply-accumulate: the reference's clamped `i64` step, or the
+/// plain `i32` step when the caller has proven the clamp never engages.
+#[inline(always)]
+fn mac<const CLAMP: bool>(acc: i32, w: i32, x: i32) -> i32 {
+    if CLAMP {
+        (i64::from(acc) + i64::from(w) * i64::from(x))
+            .clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
+    } else {
+        acc + w * x
+    }
+}
+
+/// Output positions `o` of an axis whose input index
+/// `o·stride + tap − padding` lands inside `[0, extent)`, as `lo..hi`.
+fn valid_range(
+    outs: usize,
+    stride: usize,
+    padding: usize,
+    tap: usize,
+    extent: usize,
+) -> (usize, usize) {
+    let lo = if padding > tap { (padding - tap).div_ceil(stride) } else { 0 };
+    let hi = if extent + padding > tap {
+        ((extent + padding - tap - 1) / stride + 1).min(outs)
+    } else {
+        0
+    };
+    (lo.min(hi), hi)
+}
+
+/// Calls `f(dst, src_start)` for every output row segment of one kernel
+/// tap `(ki, kj)`: `dst` is the in-bounds run `oj0..oj1` of output row
+/// `oi`, `src_start` the offset in the `[h, w]` plane of the input value
+/// under its first element (later ones follow at the stride).
+#[inline(always)]
+fn for_tap_rows(
+    w: &ConvWeight,
+    ki: usize,
+    kj: usize,
+    plane_out: &mut [i32],
+    mut f: impl FnMut(&mut [i32], usize),
+) {
+    let [_, h, wd] = w.in_chw;
+    let (s, pad) = (w.spec.stride, w.spec.padding);
+    let (oi0, oi1) = valid_range(w.oh, s, pad, ki, h);
+    let (oj0, oj1) = valid_range(w.ow, s, pad, kj, wd);
+    if oj0 == oj1 {
+        return;
+    }
+    for oi in oi0..oi1 {
+        let start = (oi * s + ki - pad) * wd + oj0 * s + kj - pad;
+        f(&mut plane_out[oi * w.ow + oj0..oi * w.ow + oj1], start);
+    }
+}
+
+/// `dst[j] = mac(dst[j], wv, src[start + j·stride])` over `dst`.
+#[inline(always)]
+fn axpy_strided<const CLAMP: bool>(dst: &mut [i32], wv: i32, src: &[i32], start: usize, s: usize) {
+    if s == 1 {
+        let len = dst.len();
+        for (o, &xv) in dst.iter_mut().zip(&src[start..start + len]) {
+            *o = mac::<CLAMP>(*o, wv, xv);
+        }
+    } else {
+        for (o, &xv) in dst.iter_mut().zip(src[start..].iter().step_by(s)) {
+            *o = mac::<CLAMP>(*o, wv, xv);
+        }
+    }
+}
+
+/// One depthwise output plane: taps outermost, so every output element
+/// still sees its reduction index `ki·kw + kj` ascending.
+fn dw_plane<const CLAMP: bool>(w: &ConvWeight, taps: &[i32], xp: &[i32], plane: &mut [i32]) {
+    plane.fill(0);
+    for ki in 0..w.kh {
+        for kj in 0..w.kw {
+            let wv = taps[ki * w.kw + kj];
+            if wv == 0 {
+                continue; // zero product: a saturation no-op
+            }
+            for_tap_rows(w, ki, kj, plane, |dst, start| {
+                axpy_strided::<CLAMP>(dst, wv, xp, start, w.spec.stride);
+            });
+        }
+    }
+}
+
+/// Direct depthwise convolution with fused epilogue: `[N, C, H, W]` ⊛ a
+/// depthwise `[C, 1, KH, KW]` weight into `out` in `[N, C, OH, OW]`
+/// order. It reads the input planes in place (no im2col), accumulates
+/// each output plane in `out` and then calls `epi(plane, c)` to rewrite
+/// the plane's accumulators in place.
+///
+/// Bit-identical to [`crate::ops::conv2d_i32`] followed by an
+/// element-wise `epi` pass, at any thread count. Performs no heap
+/// allocation when the resolved worker count is 1.
 ///
 /// # Errors
 ///
-/// Returns an error on rank/shape/geometry mismatches or if `out` has the
-/// wrong length.
-pub fn conv2d_fused_into<E>(
-    x: &Tensor<i32>,
-    weight: &PackedConv,
-    spec: Conv2dSpec,
-    epi: &E,
-    out: &mut [i32],
-) -> Result<[usize; 4]>
+/// Returns an error if `w` is not depthwise or `x`/`out` are not whole
+/// samples of its geometry.
+pub fn dwconv_fused_into<E>(x: &[i32], w: &ConvWeight, epi: &E, out: &mut [i32]) -> Result<()>
 where
-    E: Fn(i32, usize) -> i32 + Sync,
+    E: Fn(&mut [i32], usize) + Sync,
 {
-    let dims = conv2d_packed_shape(x, weight, spec)?;
-    let need: usize = dims.iter().product();
-    if out.len() != need {
-        return Err(TensorError::InvalidArgument(format!(
-            "conv2d_fused_into: output buffer holds {} values, shape {dims:?} needs {need}",
-            out.len()
+    if !w.is_depthwise() {
+        return Err(TensorError::InvalidGeometry(format!(
+            "dwconv_fused_into: {} group(s) over {} channel(s) is not depthwise",
+            w.spec.groups, w.in_chw[0]
         )));
     }
-    conv2d_packed_epi(x, weight, spec, epi, out)?;
-    Ok(dims)
+    let n = w.batch(x, out, "dwconv_fused_into")?;
+    let [c, h, wd] = w.in_chw;
+    let (l, taps) = (w.l(), w.kh * w.kw);
+    let _t = t2c_obs::Timer::scoped("kernel.dwconv_fused.time_ns");
+    record_fused("kernel.dwconv_fused", n * l, taps, c);
+    // One unit per (image, channel) plane.
+    par_units(out, l, |u0, run| {
+        for (i, plane) in run.chunks_mut(l).enumerate() {
+            let (u, ch) = (u0 + i, (u0 + i) % c);
+            let xp = &x[u * h * wd..(u + 1) * h * wd];
+            let tw = &w.rows[ch * taps..(ch + 1) * taps];
+            if saturation_free(w.abs_sum[ch], max_abs(xp)) {
+                dw_plane::<false>(w, tw, xp, plane);
+            } else {
+                dw_plane::<true>(w, tw, xp, plane);
+            }
+            epi(plane, ch);
+        }
+    });
+    Ok(())
+}
+
+/// Unrolls one (image, group) input block `[cg, h, w]` into the patch
+/// block `[cg·kh·kw, oh·ow]` (zero where the window covers padding).
+fn im2col_group(w: &ConvWeight, xg: &[i32], cols: &mut [i32]) {
+    let [_, h, wd] = w.in_chw;
+    let l = w.l();
+    if w.spec.padding > 0 {
+        cols.fill(0);
+    }
+    for (ci, xc) in xg.chunks_exact(h * wd).enumerate() {
+        for ki in 0..w.kh {
+            for kj in 0..w.kw {
+                let row = &mut cols[((ci * w.kh + ki) * w.kw + kj) * l..][..l];
+                for_tap_rows(w, ki, kj, row, |dst, start| {
+                    if w.spec.stride == 1 {
+                        dst.copy_from_slice(&xc[start..start + dst.len()]);
+                    } else {
+                        for (o, &xv) in
+                            dst.iter_mut().zip(xc[start..].iter().step_by(w.spec.stride))
+                        {
+                            *o = xv;
+                        }
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// One output row `[l]` of the weight-stationary product: weight row
+/// `[k]` against patch block `[k, l]`, reduction index ascending.
+fn gemm_row<const CLAMP: bool>(wrow: &[i32], cols: &[i32], orow: &mut [i32]) {
+    let l = orow.len();
+    orow.fill(0);
+    for (p, &wv) in wrow.iter().enumerate() {
+        if wv == 0 {
+            continue; // zero product: a saturation no-op
+        }
+        axpy_strided::<CLAMP>(orow, wv, cols, p * l, 1);
+    }
+}
+
+/// Convolution as im2col + weight-stationary GEMM with fused epilogue:
+/// `[N, C, H, W]` ⊛ `[OC, C/g, KH, KW]` into `out` in `[N, OC, OH, OW]`
+/// order.
+///
+/// Per (image, group) the input block is unrolled into `scratch` (at
+/// least [`ConvWeight::scratch_words`] long), then each output-channel
+/// row is accumulated as `[k] × [k, oh·ow]` directly into its place in
+/// `out` — the interpreter's orientation — and `epi(row, oc)` rewrites
+/// it in place. Rows may run in parallel; the patch block is shared
+/// read-only.
+///
+/// Bit-identical to [`crate::ops::conv2d_i32`] followed by an
+/// element-wise `epi` pass, at any thread count. Performs no heap
+/// allocation when the resolved worker count is 1.
+///
+/// # Errors
+///
+/// Returns an error if `x`/`out` are not whole samples of `w`'s geometry
+/// or `scratch` is too short.
+pub fn conv_gemm_fused_into<E>(
+    x: &[i32],
+    w: &ConvWeight,
+    scratch: &mut [i32],
+    epi: &E,
+    out: &mut [i32],
+) -> Result<()>
+where
+    E: Fn(&mut [i32], usize) + Sync,
+{
+    let n = w.batch(x, out, "conv_gemm_fused_into")?;
+    if scratch.len() < w.scratch_words() {
+        return Err(TensorError::InvalidArgument(format!(
+            "conv_gemm_fused_into: {} scratch words, the patch block needs {}",
+            scratch.len(),
+            w.scratch_words()
+        )));
+    }
+    let [c, h, wd] = w.in_chw;
+    let g = w.spec.groups;
+    let (cg, ocg, k, l) = (c / g, w.oc / g, w.k(), w.l());
+    let _t = t2c_obs::Timer::scoped("kernel.conv_gemm_fused.time_ns");
+    record_fused("kernel.conv_gemm_fused", n * l, k, w.oc);
+    for img in 0..n {
+        for grp in 0..g {
+            let xg = &x[(img * c + grp * cg) * h * wd..][..cg * h * wd];
+            let x_max = max_abs(xg);
+            let cols: &[i32] = if w.im2col_is_identity() {
+                xg
+            } else {
+                im2col_group(w, xg, &mut scratch[..k * l]);
+                &scratch[..k * l]
+            };
+            let wg = &w.rows[grp * ocg * k..(grp + 1) * ocg * k];
+            let sums = &w.abs_sum[grp * ocg..(grp + 1) * ocg];
+            let unit = &mut out[(img * w.oc + grp * ocg) * l..][..ocg * l];
+            par_units(unit, l, |r0, run| {
+                for (r, orow) in run.chunks_mut(l).enumerate() {
+                    let o = r0 + r;
+                    let wrow = &wg[o * k..(o + 1) * k];
+                    if saturation_free(sums[o], x_max) {
+                        gemm_row::<false>(wrow, cols, orow);
+                    } else {
+                        gemm_row::<true>(wrow, cols, orow);
+                    }
+                    epi(orow, grp * ocg + o);
+                }
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Records call/MAC counters for a fused product. One branch when
@@ -317,31 +668,62 @@ mod tests {
         }
     }
 
+    /// `conv2d_i32` followed by an element-wise `epi` pass.
+    fn conv_reference(x: &Tensor<i32>, w: &Tensor<i32>, spec: Conv2dSpec) -> Vec<i32> {
+        let plain = crate::ops::conv2d_i32(x, w, None, spec).unwrap();
+        let (oc, l) = (plain.dim(1), plain.dim(2) * plain.dim(3));
+        plain.as_slice().iter().enumerate().map(|(i, &v)| epi(v, (i / l) % oc)).collect()
+    }
+
     #[test]
-    fn fused_conv_matches_unfused_plus_map() {
-        use crate::packed::conv2d_i32_packed;
+    fn fused_convs_match_unfused_plus_map() {
         let cases = [
             ([2, 3, 7, 7], [5, 3, 3, 3], Conv2dSpec::new(1, 1)),
             ([1, 2, 8, 8], [3, 2, 3, 3], Conv2dSpec::new(2, 1)),
+            ([2, 4, 6, 6], [6, 2, 1, 1], Conv2dSpec::new(1, 0).with_groups(2)),
             ([2, 4, 6, 6], [4, 1, 3, 3], Conv2dSpec::new(1, 1).with_groups(4)),
+            ([1, 3, 9, 9], [3, 1, 5, 5], Conv2dSpec::new(3, 2).with_groups(3)),
         ];
         for (xd, wdim, spec) in cases {
             let x = pseudo_i(&xd, 31, 255);
             let w = pseudo_i(&wdim, 37, 255);
-            let packed = PackedConv::from_weight(&w, spec.groups).unwrap();
-            let plain = conv2d_i32_packed(&x, &packed, spec).unwrap();
-            let (oc, l) = (plain.dim(1), plain.dim(2) * plain.dim(3));
-            let expect: Vec<i32> =
-                plain.as_slice().iter().enumerate().map(|(i, &v)| epi(v, (i / l) % oc)).collect();
+            let expect = conv_reference(&x, &w, spec);
+            let row_epi =
+                |row: &mut [i32], ch: usize| row.iter_mut().for_each(|v| *v = epi(*v, ch));
+            let cw = ConvWeight::new(&w, spec, [xd[1], xd[2], xd[3]]).unwrap();
+            assert_eq!(cw.out_len() * xd[0], expect.len());
             for threads in [1, 3] {
-                let mut out = vec![0i32; plain.numel()];
-                let dims = with_threads(threads, || {
-                    conv2d_fused_into(&x, &packed, spec, &epi, &mut out).unwrap()
+                let mut out = vec![0i32; expect.len()];
+                let mut scratch = vec![0i32; cw.scratch_words()];
+                with_threads(threads, || {
+                    if cw.is_depthwise() {
+                        dwconv_fused_into(x.as_slice(), &cw, &row_epi, &mut out).unwrap();
+                    } else {
+                        conv_gemm_fused_into(x.as_slice(), &cw, &mut scratch, &row_epi, &mut out)
+                            .unwrap();
+                    }
                 });
-                assert_eq!(&dims[..], plain.dims());
-                assert_eq!(out, expect, "threads={threads}");
+                assert_eq!(out, expect, "{xd:?} ⊛ {wdim:?} {spec:?} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn fused_convs_reject_bad_geometry_and_buffers() {
+        let w = pseudo_i(&[4, 2, 3, 3], 1, 20);
+        let spec = Conv2dSpec::new(1, 1);
+        assert!(ConvWeight::new(&w, spec, [3, 6, 6]).is_err(), "channel mismatch");
+        assert!(ConvWeight::new(&w, spec.with_groups(3), [6, 6, 6]).is_err(), "groups");
+        assert!(ConvWeight::new(&w, Conv2dSpec::new(1, 0), [2, 2, 2]).is_err(), "kernel > input");
+        assert!(ConvWeight::new(&w, Conv2dSpec::new(1, 2), [2, 0, 6]).is_err(), "empty plane");
+        let cw = ConvWeight::new(&w, spec, [2, 6, 6]).unwrap();
+        let x = vec![0i32; 2 * 36];
+        let mut out = vec![0i32; cw.out_len()];
+        let mut scratch = vec![0i32; cw.scratch_words()];
+        assert!(dwconv_fused_into(&x, &cw, &|_, _| (), &mut out).is_err(), "not depthwise");
+        assert!(conv_gemm_fused_into(&x[1..], &cw, &mut scratch, &|_, _| (), &mut out).is_err());
+        assert!(conv_gemm_fused_into(&x, &cw, &mut scratch[1..], &|_, _| (), &mut out).is_err());
+        assert!(conv_gemm_fused_into(&x, &cw, &mut scratch, &|_, _| (), &mut out[1..]).is_err());
     }
 
     #[test]

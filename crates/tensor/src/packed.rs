@@ -67,6 +67,9 @@ use crate::{Result, Tensor, TensorError};
 /// f32 tile.
 pub const PANEL: usize = crate::ops::BLOCK;
 
+/// Reduction indices per block of the packing transpose.
+const PACK_BLOCK: usize = 8;
+
 /// Output rows accumulated per tile: each panel pass reuses one `PANEL`-wide
 /// weight row across `MR` activation rows before it leaves cache.
 pub(crate) const MR: usize = 8;
@@ -114,10 +117,15 @@ impl PackedMat {
         for t in 0..panels {
             let cols = PANEL.min(n - t * PANEL);
             let panel = &mut data[t * k * PANEL..(t + 1) * k * PANEL];
-            for j in 0..cols {
-                let wrow = &w[(t * PANEL + j) * k..(t * PANEL + j + 1) * k];
-                for (p, &wv) in wrow.iter().enumerate() {
-                    panel[p * PANEL + j] = wv;
+            // Transposed in blocks of reduction indices, so the panel rows
+            // being written stay cache-resident across the panel's columns.
+            for p0 in (0..k).step_by(PACK_BLOCK) {
+                let p1 = (p0 + PACK_BLOCK).min(k);
+                for j in 0..cols {
+                    let wrow = &w[(t * PANEL + j) * k + p0..(t * PANEL + j) * k + p1];
+                    for (p, &wv) in (p0..p1).zip(wrow) {
+                        panel[p * PANEL + j] = wv;
+                    }
                 }
             }
         }
@@ -223,7 +231,7 @@ impl PackedMat {
 }
 
 /// `max |v|` over a slice (`i32::MIN`-safe via `unsigned_abs`).
-fn max_abs(vals: &[i32]) -> u32 {
+pub(crate) fn max_abs(vals: &[i32]) -> u32 {
     vals.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0)
 }
 
@@ -507,26 +515,6 @@ pub fn conv2d_i32_packed(
     spec: Conv2dSpec,
 ) -> Result<Tensor<i32>> {
     weight.validate()?;
-    let dims = conv2d_packed_shape(x, weight, spec)?;
-    let mut out = vec![0i32; dims.iter().product()];
-    conv2d_packed_epi(x, weight, spec, &|acc, _| acc, &mut out)?;
-    Tensor::from_vec(out, &dims)
-}
-
-/// Checks the geometry of a packed convolution (rank, group agreement,
-/// channel split, stride/padding feasibility) and returns the
-/// `[N, OC, OH, OW]` output shape. Does **not** validate the packed weight
-/// payload — [`conv2d_i32_packed`] does that separately, and compiled
-/// plans validate once at build time.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape/geometry mismatches.
-pub(crate) fn conv2d_packed_shape(
-    x: &Tensor<i32>,
-    weight: &PackedConv,
-    spec: Conv2dSpec,
-) -> Result<[usize; 4]> {
     require_rank(x, 4, "conv2d_i32_packed")?;
     if spec.groups != weight.groups {
         return Err(TensorError::InvalidGeometry(format!(
@@ -537,7 +525,7 @@ pub(crate) fn conv2d_packed_shape(
     let (n, c, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
     let g = weight.groups;
     let (oc, cg, kh, kw) = (weight.oc, weight.cg, weight.kh, weight.kw);
-    if g == 0 || oc % g != 0 || c % g != 0 || cg != c / g {
+    if c % g != 0 || cg != c / g {
         return Err(TensorError::ShapeMismatch {
             lhs: x.dims().to_vec(),
             rhs: vec![oc, cg, kh, kw],
@@ -546,39 +534,16 @@ pub(crate) fn conv2d_packed_shape(
     }
     let oh = spec.out_extent(h, kh)?;
     let ow = spec.out_extent(wd, kw)?;
-    Ok([n, oc, oh, ow])
-}
-
-/// The im2col + per-group packed GEMM body, with a caller-supplied
-/// epilogue `epi(acc, out_channel)` applied at the gather — the narrow
-/// fused result is written to `out` and the wide accumulator block never
-/// leaves the per-worker scratch. Geometry must have been checked by
-/// [`conv2d_packed_shape`] and `out` sized to the returned shape.
-pub(crate) fn conv2d_packed_epi<E>(
-    x: &Tensor<i32>,
-    weight: &PackedConv,
-    spec: Conv2dSpec,
-    epi: &E,
-    out: &mut [i32],
-) -> Result<()>
-where
-    E: Fn(i32, usize) -> i32 + Sync,
-{
-    let (n, c, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let g = weight.groups;
-    let (oc, kh, kw) = (weight.oc, weight.kh, weight.kw);
-    let oh = spec.out_extent(h, kh)?;
-    let ow = spec.out_extent(wd, kw)?;
     let l = oh * ow;
     let ocg = oc / g;
     let k = weight.k();
-    debug_assert_eq!(out.len(), n * oc * l);
     let _t = t2c_obs::Timer::scoped("kernel.conv2d_i32_packed.time_ns");
     record_packed("kernel.conv2d_i32_packed", n * l, k, oc);
     let cols = im2col(x, kh, kw, spec)?;
     let cols_rows = c * kh * kw;
     let cslice = cols.as_slice();
-    par_units(out, ocg * l, |u0, run| {
+    let mut out = vec![0i32; n * oc * l];
+    par_units(&mut out, ocg * l, |u0, run| {
         // Per-worker scratch: the transposed patch block and the packed
         // product in `[l, ocg]` orientation.
         let mut ct = vec![0i32; l * k];
@@ -595,12 +560,12 @@ where
             packed_gemm_seq(&ct, l, k, &weight.blocks[grp], &mut ot);
             for (oi, orow) in ounit.chunks_mut(l).enumerate() {
                 for (j, ov) in orow.iter_mut().enumerate() {
-                    *ov = epi(ot[j * ocg + oi], grp * ocg + oi);
+                    *ov = ot[j * ocg + oi];
                 }
             }
         }
     });
-    Ok(())
+    Tensor::from_vec(out, &[n, oc, oh, ow])
 }
 
 #[cfg(test)]

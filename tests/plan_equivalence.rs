@@ -1,15 +1,18 @@
 //! End-to-end execution-plan equivalence: `IntModel::compile` lowers a
 //! graph into a fused, arena-backed [`t2c_core::ExecPlan`], and the plan
 //! must reproduce the interpreter's logits bit for bit on every zoo model
-//! — dense, pruned, N:M structured and prepacked — at any worker count.
-//! A plan compiled from an export/import round-trip of the model must
-//! agree as well: the serialized graph carries everything compilation
-//! needs.
+//! — dense, pruned, N:M structured and prepacked — at any worker count
+//! and batch size, including inputs at the `i32` rails. A plan compiled
+//! from an export/import round-trip of the model must agree as well: the
+//! serialized graph carries everything compilation needs. The CNN plans
+//! must also run without a steady-state allocation, and sparse layers
+//! must pick the kernel their stored density calls for.
 
+use t2c_core::intmodel::IntOp;
 use t2c_core::{zoo, Arena, IntModel};
 use t2c_export::{read_intmodel, write_intmodel};
 use t2c_tensor::rng::TensorRng;
-use t2c_tensor::{with_threads, Tensor};
+use t2c_tensor::{with_threads, PackedConv, Tensor};
 
 fn random_input(dims: &[usize], seed: u64) -> Tensor<f32> {
     TensorRng::seed_from(seed).uniform(dims, -1.0, 1.0)
@@ -97,5 +100,115 @@ fn plans_survive_an_export_import_round_trip() {
         let want = model.run(&x).expect("interpreter run");
         let got = plan.run(&x, &mut arena).expect("planned run on imported model");
         assert_eq!(got.as_slice(), want.as_slice(), "{tag}: round-tripped plan diverges");
+    }
+}
+
+/// MobileNet and ResNet, each with a twin whose linears are prepacked and
+/// whose convolutions are hand-converted to `Conv2dPacked` (the compiled
+/// plan unpacks those once).
+fn cnn_family() -> Vec<(String, IntModel, Vec<usize>)> {
+    let mut out = Vec::new();
+    for (tag, (model, dims)) in
+        [("mobilenet-ptq", zoo::mobilenet_ptq()), ("resnet-qat", zoo::resnet_qat())]
+    {
+        let mut packed = model.clone();
+        packed.prepack();
+        for node in &mut packed.nodes {
+            if let IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec } = &node.op {
+                node.op = IntOp::Conv2dPacked {
+                    weight: PackedConv::from_weight(weight, spec.groups).expect("conv packs"),
+                    bias: bias.clone(),
+                    spec: *spec,
+                    requant: requant.clone(),
+                    relu: *relu,
+                    weight_spec: *weight_spec,
+                };
+            }
+        }
+        out.push((tag.to_string(), model, dims.clone()));
+        out.push((format!("{tag}-packed"), packed, dims));
+    }
+    out
+}
+
+#[test]
+fn cnn_plans_match_the_interpreter_across_batches_threads_and_packed_twins() {
+    for (tag, model, dims) in cnn_family() {
+        let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
+        let mut arena = Arena::new();
+        for (seed, batch) in [(1u64, 1usize), (2, 3), (3, 8)] {
+            let x = random_input(&batched(&dims, batch), seed * 31 + 7);
+            let want = model.run(&x).expect("interpreter run");
+            for threads in [1usize, 2, 4] {
+                let got = with_threads(threads, || plan.run(&x, &mut arena)).expect("planned run");
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "{tag}: planned logits diverge at batch {batch}, {threads} thread(s)"
+                );
+            }
+        }
+    }
+}
+
+/// Quantized codes mixing the `i32` rails, zero and grid values: the
+/// first MAC layer's saturation-free bound fails, so its clamped chain runs.
+fn rail_codes(dims: &[usize], seed: usize) -> Tensor<i32> {
+    Tensor::from_fn(dims, |i| match (i * 7 + seed) % 5 {
+        0 => i32::MAX,
+        1 => i32::MIN,
+        2 => 0,
+        k => (i as i32 % 255) - 127 + k as i32,
+    })
+}
+
+#[test]
+fn rail_valued_inputs_match_through_run_quantized() {
+    let mut models: Vec<(String, IntModel, Vec<usize>)> = cnn_family();
+    models.extend(mlp_family());
+    let (vit, vdims) = zoo::vit_ptq();
+    models.push(("vit-ptq".into(), vit, vdims));
+    for (tag, model, dims) in models {
+        let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
+        let mut arena = Arena::new();
+        for batch in [1usize, 3] {
+            let x = rail_codes(&batched(&dims, batch), batch);
+            let want = model.run_quantized(&x).expect("interpreter run");
+            for threads in [1usize, 2, 4] {
+                let got = with_threads(threads, || plan.run_quantized(&x, &mut arena))
+                    .expect("planned run");
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "{tag}: rail inputs diverge at batch {batch}, {threads} thread(s)"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn cnn_plans_need_no_steady_allocations() {
+    for (tag, model, dims) in cnn_family() {
+        let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
+        assert_eq!(plan.steady_allocs(), 0, "{tag}: every CNN step must run in the arena");
+        let kernels: Vec<&str> = plan.kernels().map(|(_, k)| k).collect();
+        assert!(kernels.contains(&"im2col-gemm"), "{tag}: {kernels:?}");
+        if tag.starts_with("mobilenet") {
+            assert!(kernels.contains(&"dwconv-direct"), "{tag}: {kernels:?}");
+        }
+    }
+}
+
+#[test]
+fn sparse_layers_pick_their_kernel_by_stored_density() {
+    for (tag, (model, dims), want) in [
+        ("mlp-nm24", zoo::tiny_mlp_nm(2, 4), "packed-gemm"),
+        ("mlp-pruned80", zoo::tiny_mlp_pruned(0.8), "spmm"),
+    ] {
+        let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
+        let fc1 = model.nodes.iter().position(|n| n.name == "fc1").expect("fc1 node");
+        let got = plan.kernels().find(|&(node, _)| node == fc1).map(|(_, k)| k);
+        assert_eq!(got, Some(want), "{tag}: fc1 kernel");
     }
 }

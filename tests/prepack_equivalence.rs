@@ -1,8 +1,10 @@
 //! End-to-end prepacking equivalence: `IntModel::prepack` converts every
-//! dense conv/linear into the cache-blocked panel representation the
-//! serving path executes, and the packed graph must reproduce the dense
-//! graph's logits bit for bit on every zoo model. Sparse layers carry
-//! their own compressed encoding and must be left untouched.
+//! dense linear into the cache-blocked panel representation, and the
+//! packed graph must reproduce the dense graph's logits bit for bit on
+//! every zoo model. Convolutions stay dense (compiled plans run them
+//! through the direct and im2col kernels, which read the dense weight),
+//! and sparse layers carry their own compressed encoding; both must be
+//! left untouched.
 
 use t2c_core::zoo;
 use t2c_tensor::rng::TensorRng;
@@ -18,7 +20,12 @@ fn prepacked_zoo_models_match_their_dense_twins_bit_for_bit() {
         let (dense, dims) = builder();
         let mut packed = dense.clone();
         let converted = packed.prepack();
-        assert!(converted > 0, "{tag}: the zoo models all carry dense conv/linear layers");
+        assert!(converted > 0, "{tag}: the zoo models all carry dense linear layers");
+        let convs = |m: &t2c_core::IntModel, label: &str| {
+            m.nodes.iter().filter(|n| n.op.label() == label).count()
+        };
+        assert_eq!(convs(&packed, "conv2d_int"), convs(&dense, "conv2d_int"), "{tag}: convs");
+        assert_eq!(convs(&packed, "conv2d_packed"), 0, "{tag}: prepack must leave convs dense");
         // Weight accounting is a property of the logical tensor, not its
         // memory layout: prepacking must not move either metric.
         assert_eq!(dense.weight_bytes(), packed.weight_bytes(), "{tag}: weight_bytes drifted");
