@@ -1,4 +1,4 @@
-//! `gemm-pack` — the prepacked serving-path gate.
+//! `gemm-pack` — the gate for the plan's `packed-gemm` kernel.
 //!
 //! Benchmarks the cache-blocked packed integer GEMM against the dense
 //! serving path across the GEMM shapes the zoo's serving traffic covers,
@@ -6,9 +6,10 @@
 //! block (64×1024×1024). The dense side measures what `IntOp::Linear`
 //! actually pays per call — the `[out, in]` weight transpose *plus* the
 //! naive saturating matmul — because eliminating that per-call weight
-//! transformation is precisely what prepacking buys the serving runtime.
-//! The packed side pays its panel repacking once, outside the timed
-//! region, exactly like `ModelRegistry` does at admission.
+//! transformation is precisely what panel packing buys the serving
+//! runtime. The packed side pays its panel packing once, outside the
+//! timed region, exactly like `IntModel::compile` does for every dense
+//! linear layer of an execution plan.
 //!
 //! Both kernels are bit-identical by construction (per-MAC saturating
 //! accumulation in ascending k order); every measured shape re-checks

@@ -8,10 +8,7 @@
 //! needs, and the export crate serializes exactly this structure.
 
 use t2c_tensor::ops::{conv2d_i32, Conv2dSpec, PoolSpec};
-use t2c_tensor::{
-    conv2d_i32_packed, matmul_i32_sat_packed, matmul_sparse_i, PackedConv, PackedMat,
-    SparseEncoding, SparseMat, Tensor, TensorError,
-};
+use t2c_tensor::{matmul_sparse_i, SparseEncoding, SparseMat, Tensor, TensorError};
 
 use crate::fixed::{round_shift, FixedScalar};
 use crate::lut::{isqrt, GeluLut, SoftmaxLut};
@@ -135,40 +132,6 @@ pub enum IntOp {
         /// Grid the weights live on.
         weight_spec: QuantSpec,
     },
-    /// Integer convolution over a prepacked weight (hand-built graphs;
-    /// [`IntModel::prepack`] leaves convolutions dense, and compiled plans
-    /// unpack this once). Bit-identical to the dense op on the unpacked
-    /// weights; only the storage layout and the kernel's cache blocking
-    /// differ.
-    Conv2dPacked {
-        /// Prepacked `[OC, C/g, K, K]` weights (column-panel tiles).
-        weight: PackedConv,
-        /// Accumulator-domain bias (length OC).
-        bias: Option<Vec<i64>>,
-        /// Geometry.
-        spec: Conv2dSpec,
-        /// The fused requantizer.
-        requant: MulQuant,
-        /// Integer ReLU before the output clamp.
-        relu: bool,
-        /// Grid the weights live on (for size accounting).
-        weight_spec: QuantSpec,
-    },
-    /// Integer linear layer over a prepacked weight — produced by
-    /// [`IntModel::prepack`] from a dense [`IntOp::Linear`]. Bit-identical
-    /// to the dense op on the unpacked weights.
-    LinearPacked {
-        /// Prepacked `[OUT, IN]` weights (column-panel tiles).
-        weight: PackedMat,
-        /// Accumulator-domain bias (length OUT).
-        bias: Option<Vec<i64>>,
-        /// Optional requantizer.
-        requant: Option<MulQuant>,
-        /// Integer ReLU before the clamp (requires `requant`).
-        relu: bool,
-        /// Grid the weights live on.
-        weight_spec: QuantSpec,
-    },
     /// Integer linear layer over a compressed sparse weight matrix —
     /// produced by [`IntModel::sparsify`] from a pruned [`IntOp::Linear`].
     /// Bit-identical to the dense op on the densified weights; only the
@@ -279,9 +242,7 @@ impl IntOp {
         match self {
             IntOp::Quantize { .. } => "quantize",
             IntOp::Conv2d { .. } => "conv2d_int",
-            IntOp::Conv2dPacked { .. } => "conv2d_packed",
             IntOp::Linear { .. } => "linear_int",
-            IntOp::LinearPacked { .. } => "linear_packed",
             IntOp::LinearSparse { .. } => "linear_sparse",
             IntOp::AddRequant { .. } => "add_requant",
             IntOp::AddConstRequant { .. } => "add_const_requant",
@@ -308,12 +269,10 @@ impl IntOp {
     pub fn out_spec(&self) -> Option<QuantSpec> {
         match self {
             IntOp::Quantize { spec, .. } => Some(*spec),
-            IntOp::Conv2d { requant, .. } | IntOp::Conv2dPacked { requant, .. } => {
-                Some(requant.out_spec)
+            IntOp::Conv2d { requant, .. } => Some(requant.out_spec),
+            IntOp::Linear { requant, .. } | IntOp::LinearSparse { requant, .. } => {
+                requant.as_ref().map(|r| r.out_spec)
             }
-            IntOp::Linear { requant, .. }
-            | IntOp::LinearPacked { requant, .. }
-            | IntOp::LinearSparse { requant, .. } => requant.as_ref().map(|r| r.out_spec),
             IntOp::AddRequant { out_spec, .. }
             | IntOp::AddConstRequant { out_spec, .. }
             | IntOp::BmmRequant { out_spec, .. }
@@ -413,7 +372,8 @@ impl IntModel {
                 ))
             }
         };
-        self.execute(&quantized)
+        let (values, _) = self.execute_droppable(&quantized, true)?;
+        Ok(values.into_iter().map(|v| v.expect("keep_all retains every value")).collect())
     }
 
     /// Runs the model on an already-quantized integer input (skipping the
@@ -427,20 +387,49 @@ impl IntModel {
         values.pop().flatten().ok_or_else(|| TensorError::InvalidArgument("empty IntModel".into()))
     }
 
-    /// Keep-everything execution — the hook `run_all` and the plan
-    /// compiler's shape inference use.
-    fn execute(&self, input: &Tensor<i32>) -> Result<Vec<Tensor<i32>>> {
-        let (values, _) = self.execute_droppable(input, true)?;
-        Ok(values.into_iter().map(|v| v.expect("keep_all retains every value")).collect())
-    }
-
-    /// Per-node output shapes for a quantized input of `input_dims` —
-    /// computed by running the interpreter on zeros (the plan compiler's
-    /// shape-inference pass; graphs are data-independent in shape).
-    pub(crate) fn infer_shapes(&self, input_dims: &[usize]) -> Result<Vec<Vec<usize>>> {
-        let zeros = Tensor::<i32>::zeros(input_dims);
-        let values = self.execute(&zeros)?;
-        Ok(values.into_iter().map(|v| v.dims().to_vec()).collect())
+    /// Per-node output shapes for a quantized input of `input_dims`,
+    /// derived from the op parameters alone in one walk over the nodes
+    /// (graphs are data-independent in shape). This is the plan
+    /// compiler's validation pass: it checks every operand reference,
+    /// rank, extent and parameter length a compiled step indexes by, so a
+    /// malformed graph is refused with an error instead of panicking in a
+    /// kernel. LUT table coverage is a value-range property (lint T2C301)
+    /// and is not judged here.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the node index, name and op label of the
+    /// first node whose operands are missing, dangling or forward, or
+    /// whose shapes disagree with its parameters.
+    pub fn infer_shapes(&self, input_dims: &[usize]) -> Result<Vec<Vec<usize>>> {
+        let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(self.nodes.len());
+        for (i, node) in self.nodes.iter().enumerate() {
+            let fail = |msg: String| {
+                TensorError::InvalidArgument(format!(
+                    "node {i} ({}, {}): {msg}",
+                    node.name,
+                    node.op.label()
+                ))
+            };
+            let mut operands = Vec::with_capacity(2);
+            for idx in 0..node.op.arity() {
+                let shape = match node.inputs.get(idx) {
+                    None => Err(format!(
+                        "expects operand {idx} but lists {} input(s)",
+                        node.inputs.len()
+                    )),
+                    Some(Src::Input) => Ok(input_dims),
+                    Some(Src::Node(id)) => shapes
+                        .get(*id)
+                        .map(Vec::as_slice)
+                        .ok_or_else(|| format!("reads node {id}, which does not precede it")),
+                };
+                operands.push(shape.map_err(fail)?);
+            }
+            let shape = op_shape(&node.op, input_dims, &operands).map_err(fail)?;
+            shapes.push(shape);
+        }
+        Ok(shapes)
     }
 
     /// Index of the step after which each node's output is dead: the
@@ -530,30 +519,9 @@ impl IntModel {
                         };
                         requant_counted(requant, &acc, 1, *relu)
                     }
-                    IntOp::Conv2dPacked { weight, bias, spec, requant, relu, .. } => {
-                        let xin = operand(0)?;
-                        let acc = conv2d_i32_packed(xin, weight, *spec)?;
-                        let acc = match bias {
-                            Some(b) => add_channel_bias(&acc, b, 1),
-                            None => acc,
-                        };
-                        requant_counted(requant, &acc, 1, *relu)
-                    }
                     IntOp::Linear { weight, bias, requant, relu, .. } => {
                         let xin = operand(0)?;
                         let acc = linear_i32(xin, weight)?;
-                        let acc = match bias {
-                            Some(b) => add_channel_bias(&acc, b, acc.rank() - 1),
-                            None => acc,
-                        };
-                        match requant {
-                            Some(r) => requant_counted(r, &acc, acc.rank() - 1, *relu),
-                            None => acc,
-                        }
-                    }
-                    IntOp::LinearPacked { weight, bias, requant, relu, .. } => {
-                        let xin = operand(0)?;
-                        let acc = linear_packed_i32(xin, weight)?;
                         let acc = match bias {
                             Some(b) => add_channel_bias(&acc, b, acc.rank() - 1),
                             None => acc,
@@ -665,9 +633,7 @@ impl IntModel {
                     IntOp::Conv2d { weight, .. } => {
                         elements * (weight.dim(1) * weight.dim(2) * weight.dim(3)) as u64
                     }
-                    IntOp::Conv2dPacked { weight, .. } => elements * weight.k() as u64,
                     IntOp::Linear { weight, .. } => elements * weight.dim(1) as u64,
-                    IntOp::LinearPacked { weight, .. } => elements * weight.k as u64,
                     // Skip-zero kernel: only stored slots are multiplied.
                     IntOp::LinearSparse { weight, .. } => {
                         (elements / weight.rows.max(1) as u64) * weight.stored() as u64
@@ -688,8 +654,6 @@ impl IntModel {
                     IntOp::Conv2d { weight, .. } | IntOp::Linear { weight, .. } => {
                         weight.numel() as u64
                     }
-                    IntOp::Conv2dPacked { weight, .. } => weight.logical_numel() as u64,
-                    IntOp::LinearPacked { weight, .. } => weight.logical_numel() as u64,
                     IntOp::LinearSparse { weight, .. } => weight.stored() as u64,
                     _ => 0,
                 };
@@ -746,22 +710,8 @@ impl IntModel {
                     bits += bias.as_ref().map_or(0, |b| b.len() * 32);
                     bits += requant.size_bytes() * 8;
                 }
-                // Prepacking is a layout change, not a storage change: the
-                // panel padding is structural (all-zero, never exported), so
-                // packed nodes account the logical element count and
-                // `prepack` leaves `weight_bytes` invariant.
-                IntOp::Conv2dPacked { weight, weight_spec, bias, requant, .. } => {
-                    bits += weight.logical_numel() * weight_spec.bits as usize;
-                    bits += bias.as_ref().map_or(0, |b| b.len() * 32);
-                    bits += requant.size_bytes() * 8;
-                }
                 IntOp::Linear { weight, weight_spec, bias, requant, .. } => {
                     bits += weight.numel() * weight_spec.bits as usize;
-                    bits += bias.as_ref().map_or(0, |b| b.len() * 32);
-                    bits += requant.as_ref().map_or(0, super::mulquant::MulQuant::size_bytes) * 8;
-                }
-                IntOp::LinearPacked { weight, weight_spec, bias, requant, .. } => {
-                    bits += weight.logical_numel() * weight_spec.bits as usize;
                     bits += bias.as_ref().map_or(0, |b| b.len() * 32);
                     bits += requant.as_ref().map_or(0, super::mulquant::MulQuant::size_bytes) * 8;
                 }
@@ -809,14 +759,6 @@ impl IntModel {
                     zeros += weight.count_zeros();
                     total += weight.numel();
                 }
-                IntOp::Conv2dPacked { weight, .. } => {
-                    zeros += weight.count_zeros();
-                    total += weight.logical_numel();
-                }
-                IntOp::LinearPacked { weight, .. } => {
-                    zeros += weight.count_zeros();
-                    total += weight.logical_numel();
-                }
                 IntOp::LinearSparse { weight, .. } => {
                     zeros += weight.rows * weight.cols - weight.nnz();
                     total += weight.rows * weight.cols;
@@ -829,45 +771,6 @@ impl IntModel {
         } else {
             zeros as f32 / total as f32
         }
-    }
-
-    /// Converts dense [`IntOp::Linear`] weights to their prepacked twin
-    /// [`IntOp::LinearPacked`], returning the number of nodes converted.
-    ///
-    /// This is the serving half of the cache-blocked GEMM path: the weight
-    /// is repacked **once** into column-panel tiles so every subsequent
-    /// forward pass hits `matmul_i32_sat_packed` with no per-call
-    /// transpose. The transformation is bit-exact — packed ops run the
-    /// same per-MAC saturation chain in the same per-element order (see
-    /// `t2c_tensor::packed`) — and leaves [`IntModel::weight_bytes`] and
-    /// [`IntModel::weight_sparsity`] invariant. [`IntOp::Conv2d`] nodes
-    /// stay dense: compiled plans run convolutions through the direct and
-    /// im2col kernels, which read the dense weight, so no fast path reads
-    /// a [`IntOp::Conv2dPacked`] any more (a hand-built or imported one
-    /// still runs and compiles). [`IntOp::LinearSparse`] nodes are left
-    /// untouched: their skip-zero kernel already has its own layout.
-    /// `t2c-serve` calls this at admission, after the lint gate passes.
-    pub fn prepack(&mut self) -> usize {
-        let mut converted = 0usize;
-        for node in &mut self.nodes {
-            let replacement = match &node.op {
-                IntOp::Linear { weight, bias, requant, relu, weight_spec } => {
-                    PackedMat::from_weight(weight).ok().map(|packed| IntOp::LinearPacked {
-                        weight: packed,
-                        bias: bias.clone(),
-                        requant: requant.clone(),
-                        relu: *relu,
-                        weight_spec: *weight_spec,
-                    })
-                }
-                _ => None,
-            };
-            if let Some(op) = replacement {
-                node.op = op;
-                converted += 1;
-            }
-        }
-        converted
     }
 
     /// Converts dense [`IntOp::Linear`] nodes whose zero-code fraction is
@@ -918,6 +821,142 @@ impl IntModel {
         }
         converted
     }
+}
+
+/// One node's output shape given its operand shapes (`ops`, one per
+/// consumed operand) — the per-op rules of [`IntModel::infer_shapes`].
+/// Errors are plain messages; the caller names the node.
+fn op_shape(
+    op: &IntOp,
+    input: &[usize],
+    ops: &[&[usize]],
+) -> std::result::Result<Vec<usize>, String> {
+    let x = ops.first().copied().unwrap_or(input);
+    let rank = |want: usize| -> std::result::Result<(), String> {
+        if x.len() == want {
+            Ok(())
+        } else {
+            Err(format!("expects a rank-{want} input, got {x:?}"))
+        }
+    };
+    let linear = |rows: usize, cols: usize| {
+        if !(2..=3).contains(&x.len()) || x[x.len() - 1] != cols {
+            return Err(format!("weight [{rows}, {cols}] cannot read input {x:?}"));
+        }
+        let mut out = x.to_vec();
+        out[x.len() - 1] = rows;
+        Ok(out)
+    };
+    match op {
+        IntOp::Quantize { .. } => Ok(input.to_vec()),
+        IntOp::Conv2d { weight, spec, .. } => {
+            rank(4)?;
+            let w = weight.dims();
+            let g = spec.groups;
+            if w.len() != 4 || g == 0 || w[0] == 0 || w[1] * g != x[1] || !w[0].is_multiple_of(g) {
+                return Err(format!(
+                    "weight {w:?} with {g} group(s) cannot read {} input channel(s)",
+                    x[1]
+                ));
+            }
+            match (
+                window_extent(x[2], w[2], spec.stride, spec.padding),
+                window_extent(x[3], w[3], spec.stride, spec.padding),
+            ) {
+                (Some(oh), Some(ow)) => Ok(vec![x[0], w[0], oh, ow]),
+                _ => Err(format!("kernel {}x{} leaves no output on input {x:?}", w[2], w[3])),
+            }
+        }
+        IntOp::Linear { weight, .. } => match weight.dims() {
+            &[rows, cols] => linear(rows, cols),
+            w => Err(format!("weight {w:?} is not rank 2")),
+        },
+        IntOp::LinearSparse { weight, .. } => linear(weight.rows, weight.cols),
+        IntOp::AddRequant { .. } => {
+            if ops[0] != ops[1] {
+                return Err(format!("branch shapes {:?} and {:?} differ", ops[0], ops[1]));
+            }
+            Ok(x.to_vec())
+        }
+        IntOp::AddConstRequant { value, .. } => {
+            let per_sample: usize = x.iter().skip(1).product();
+            if x.is_empty() || value.numel() == 0 || !per_sample.is_multiple_of(value.numel()) {
+                return Err(format!("{} constant value(s) do not tile input {x:?}", value.numel()));
+            }
+            Ok(x.to_vec())
+        }
+        IntOp::MaxPool2d { spec } => {
+            rank(4)?;
+            let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+            match (window_extent(x[2], k, s, p), window_extent(x[3], k, s, p)) {
+                (Some(oh), Some(ow)) => Ok(vec![x[0], x[1], oh, ow]),
+                _ => Err(format!("window {k} stride {s} padding {p} does not fit input {x:?}")),
+            }
+        }
+        IntOp::GlobalAvgPool { .. } => rank(4).map(|()| vec![x[0], x[1]]),
+        IntOp::Flatten => match x.split_first() {
+            Some((&n, rest)) => Ok(vec![n, rest.iter().product()]),
+            None => Err("cannot flatten a rank-0 input".into()),
+        },
+        IntOp::PatchToTokens => rank(4).map(|()| vec![x[0], x[2] * x[3], x[1]]),
+        IntOp::ConcatToken { token } => {
+            rank(3)?;
+            if token.numel() != x[2] {
+                return Err(format!("{}-value token does not match input {x:?}", token.numel()));
+            }
+            Ok(vec![x[0], x[1] + 1, x[2]])
+        }
+        IntOp::TakeToken { index } => {
+            rank(3)?;
+            if *index >= x[1] {
+                return Err(format!("token {index} is out of range for input {x:?}"));
+            }
+            Ok(vec![x[0], x[2]])
+        }
+        IntOp::SplitHeads { heads } => {
+            rank(3)?;
+            if *heads == 0 || !x[2].is_multiple_of(*heads) {
+                return Err(format!("{heads} head(s) do not divide input {x:?}'s last axis"));
+            }
+            Ok(vec![x[0] * heads, x[1], x[2] / heads])
+        }
+        IntOp::MergeHeads { heads } => {
+            rank(3)?;
+            if *heads == 0 || !x[0].is_multiple_of(*heads) {
+                return Err(format!("{heads} head(s) do not divide input {x:?}'s first axis"));
+            }
+            Ok(vec![x[0] / heads, x[1], x[2] * heads])
+        }
+        IntOp::BmmRequant { transpose_rhs, .. } => {
+            let (a, b) = (ops[0], ops[1]);
+            let (k, n) = if *transpose_rhs { (2, 1) } else { (1, 2) };
+            if a.len() != 3 || b.len() != 3 || a[0] != b[0] || a[2] != b[k] {
+                return Err(format!(
+                    "operands {a:?} and {b:?} (transpose_rhs = {transpose_rhs}) do not multiply"
+                ));
+            }
+            Ok(vec![a[0], a[1], b[n]])
+        }
+        IntOp::LayerNorm(ln) => {
+            let d = x.last().copied().unwrap_or(0);
+            if x.is_empty() || ln.gamma_m.len() != d || ln.beta_b.len() != d {
+                return Err(format!(
+                    "gamma/beta lengths {}/{} do not match input {x:?}'s feature axis",
+                    ln.gamma_m.len(),
+                    ln.beta_b.len()
+                ));
+            }
+            Ok(x.to_vec())
+        }
+        IntOp::Requant { .. } | IntOp::SoftmaxLut(_) | IntOp::GeluLut(_) => Ok(x.to_vec()),
+    }
+}
+
+/// Output extent of a sliding window, or `None` when the stride or window
+/// is zero or the window is larger than the padded input.
+fn window_extent(len: usize, window: usize, stride: usize, padding: usize) -> Option<usize> {
+    let padded = len + 2 * padding;
+    (stride > 0 && window > 0 && window <= padded).then(|| (padded - window) / stride + 1)
 }
 
 /// Chooses the tightest supported sparse encoding for a linear weight:
@@ -984,19 +1023,6 @@ fn linear_i32(x: &Tensor<i32>, w: &Tensor<i32>) -> Result<Tensor<i32>> {
             flat.matmul_i(&wt)?.reshape(&[n, l, w.dim(0)])
         }
         r => Err(TensorError::RankMismatch { got: r, expected: 2, op: "linear_i32" }),
-    }
-}
-
-fn linear_packed_i32(x: &Tensor<i32>, w: &PackedMat) -> Result<Tensor<i32>> {
-    // Accepts [N, IN] or [N, L, IN]; packed rows are the OUT channels.
-    match x.rank() {
-        2 => matmul_i32_sat_packed(x, w),
-        3 => {
-            let (n, l, din) = (x.dim(0), x.dim(1), x.dim(2));
-            let flat = x.reshape(&[n * l, din])?;
-            matmul_i32_sat_packed(&flat, w)?.reshape(&[n, l, w.n])
-        }
-        r => Err(TensorError::RankMismatch { got: r, expected: 2, op: "linear_packed_i32" }),
     }
 }
 
@@ -1499,78 +1525,6 @@ mod tests {
         // Empty bias is a no-op, not an index underflow panic.
         let y3 = add_channel_bias(&acc, &[], 1);
         assert_eq!(y3.as_slice(), acc.as_slice());
-    }
-
-    #[test]
-    fn prepack_converts_dense_nodes_and_stays_bit_identical() {
-        let mut m = IntModel::new();
-        m.push("input", IntOp::Quantize { scale: 0.05, spec: QuantSpec::signed(8) }, vec![]);
-        let wc = Tensor::from_fn(&[4, 2, 3, 3], |i| (i as i32 % 9) - 4);
-        m.push(
-            "conv",
-            IntOp::Conv2d {
-                weight: wc,
-                bias: Some((0..4).map(|i| i as i64 * 7 - 10).collect()),
-                spec: Conv2dSpec::new(1, 1),
-                requant: MulQuant::from_float(
-                    &[0.05],
-                    &[0.0],
-                    FixedPointFormat::int16_frac12(),
-                    QuantSpec::signed(8),
-                ),
-                relu: true,
-                weight_spec: QuantSpec::signed(8),
-            },
-            vec![Src::Node(0)],
-        );
-        m.push("flat", IntOp::Flatten, vec![Src::Node(1)]);
-        let wf = Tensor::from_fn(&[10, 4 * 6 * 6], |i| (i as i32 % 7) - 3);
-        m.push(
-            "head",
-            IntOp::Linear {
-                weight: wf,
-                bias: Some((0..10).map(|i| i as i64 - 5).collect()),
-                requant: None,
-                relu: false,
-                weight_spec: QuantSpec::signed(8),
-            },
-            vec![Src::Node(2)],
-        );
-        let dense = m.clone();
-        let bytes = dense.weight_bytes();
-        let sparsity = dense.weight_sparsity();
-        assert_eq!(m.prepack(), 1);
-        assert_eq!(m.nodes[1].op.label(), "conv2d_int", "convolutions stay dense");
-        assert_eq!(m.nodes[3].op.label(), "linear_packed");
-        // Prepacking is pure layout: storage accounting and the sparsity
-        // audit are invariant, and outputs are bit-identical.
-        assert_eq!(m.weight_bytes(), bytes);
-        assert!((m.weight_sparsity() - sparsity).abs() < 1e-7);
-        let x = Tensor::from_fn(&[2, 2, 6, 6], |i| (i as f32) * 0.013 - 0.4);
-        assert_eq!(m.run(&x).unwrap().as_slice(), dense.run(&x).unwrap().as_slice());
-        // Re-packing an already-packed model is a no-op.
-        assert_eq!(m.prepack(), 0);
-    }
-
-    #[test]
-    fn prepack_leaves_sparse_nodes_untouched() {
-        let mut m = IntModel::new();
-        m.push("input", IntOp::Quantize { scale: 0.1, spec: QuantSpec::signed(8) }, vec![]);
-        let w = Tensor::from_fn(&[6, 8], |i| if i % 4 < 2 { (i as i32 % 5) - 2 } else { 0 });
-        m.push(
-            "fc",
-            IntOp::Linear {
-                weight: w,
-                bias: None,
-                requant: None,
-                relu: false,
-                weight_spec: QuantSpec::signed(4),
-            },
-            vec![Src::Node(0)],
-        );
-        assert_eq!(m.sparsify(0.3), 1);
-        assert_eq!(m.prepack(), 0, "sparse nodes must keep their skip-zero layout");
-        assert_eq!(m.nodes[1].op.label(), "linear_sparse");
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //!
 //!    | node                         | kernel ([`ExecPlan::kernels`])       |
 //!    |------------------------------|--------------------------------------|
-//!    | `Linear` / `LinearPacked`    | `packed-gemm`: 64-wide panel GEMM    |
+//!    | `Linear`                     | `packed-gemm`: 64-wide panel GEMM    |
 //!    | `LinearSparse`, stored density ≥ [`DENSIFY_DENSITY`] | `packed-gemm` on the densified weight |
 //!    | `LinearSparse`, sparser      | `spmm`: skip-zero sparse product     |
 //!    | `Conv2d`, one input and one output channel per group | `dwconv-direct`: per-channel direct kernel |
 //!    | any other `Conv2d`           | `im2col-gemm`: im2col into the arena scratch + weight-stationary GEMM |
 //!
-//!    `Conv2dPacked` nodes are unpacked once and take the `Conv2d` rows.
+//!    The graph stores dense weights only; the layout each kernel reads
+//!    is built here, at compile time.
 //!    The rules come from measurements on a 2-core Xeon host at one
 //!    thread. The zoo CNNs have 1 (depthwise) to 32 output channels per
 //!    group, so the 64-wide packed panels the plan used to run every conv
@@ -205,7 +206,7 @@ enum Step {
     InputAlias { dst: usize },
     /// Raw data copy (`Flatten` — a reshape never moves values).
     Copy { src: Src, dst: usize },
-    /// Fused dense/packed linear: packed GEMM + epilogue.
+    /// Fused dense (or densified sparse) linear: packed GEMM + epilogue.
     Gemm { src: Src, dst: usize, weight: PackedMat, epi: Epilogue },
     /// Fused sparse linear: skip-zero matmul + epilogue.
     Spmm { src: Src, dst: usize, weight: SparseMat, cols: Vec<u32>, epi: Epilogue },
@@ -367,16 +368,17 @@ pub struct ExecPlan {
 
 impl IntModel {
     /// Compiles the model for samples of shape `input_dims` (the leading
-    /// axis is treated as the batch and normalized to 1): packs dense
-    /// weights, fuses MAC epilogues, runs liveness and lays node outputs
-    /// into a shared arena. The model is unchanged — keep using it for
-    /// lint, certification, export and as the fallback interpreter.
+    /// axis is treated as the batch and normalized to 1): infers shapes
+    /// statically, packs dense weights, fuses MAC epilogues, runs liveness
+    /// and lays node outputs into a shared arena. The model is unchanged —
+    /// keep using it for lint, certification, export and as the reference
+    /// interpreter that defines the plan's semantics.
     ///
     /// # Errors
     ///
-    /// Returns an error if the model is empty, the graph does not
-    /// interpret on the given shape, or a weight fails validation /
-    /// packing.
+    /// Returns an error if the model is empty, [`IntModel::infer_shapes`]
+    /// rejects the graph on the given shape (the error names the node), or
+    /// a weight fails validation / packing.
     pub fn compile(&self, input_dims: &[usize]) -> Result<ExecPlan> {
         if self.nodes.is_empty() {
             return Err(TensorError::InvalidArgument("cannot compile an empty IntModel".into()));
@@ -388,8 +390,9 @@ impl IntModel {
         }
         let mut dims1 = input_dims.to_vec();
         dims1[0] = 1;
-        // Shape inference doubles as full graph validation: arity, ranks
-        // and forward references all fail here, before any packing work.
+        // Static shape inference doubles as full graph validation: arity,
+        // references, ranks, extents and parameter lengths all fail here,
+        // before any packing work, so no step below can index out of range.
         let shapes = self.infer_shapes(&dims1)?;
         let n = self.nodes.len();
 
@@ -416,11 +419,7 @@ impl IntModel {
             }
             let mac = matches!(
                 self.nodes[*i].op,
-                IntOp::Linear { .. }
-                    | IntOp::LinearPacked { .. }
-                    | IntOp::LinearSparse { .. }
-                    | IntOp::Conv2d { .. }
-                    | IntOp::Conv2dPacked { .. }
+                IntOp::Linear { .. } | IntOp::LinearSparse { .. } | IntOp::Conv2d { .. }
             );
             if mac {
                 fold_dst[*i] = Some(j);
@@ -458,15 +457,8 @@ impl IntModel {
                 continue;
             }
             let dst = fold_dst[i].unwrap_or(i);
-            let operand = |idx: usize| -> Result<Src> {
-                node.inputs.get(idx).copied().ok_or_else(|| {
-                    TensorError::InvalidArgument(format!(
-                        "node {i} ({}) expects operand {idx} but lists {} input(s)",
-                        node.name,
-                        node.inputs.len()
-                    ))
-                })
-            };
+            // `infer_shapes` checked that every operand is listed.
+            let operand = |idx: usize| node.inputs[idx];
             let step = match &node.op {
                 IntOp::Quantize { .. } => Step::InputAlias { dst },
                 IntOp::Linear { weight, bias, requant, relu, .. } => {
@@ -478,22 +470,11 @@ impl IntModel {
                     };
                     fused_nodes += 1 + epi.folded();
                     Step::Gemm {
-                        src: operand(0)?,
+                        src: operand(0),
                         dst,
                         weight: PackedMat::from_weight(weight)?,
                         epi,
                     }
-                }
-                IntOp::LinearPacked { weight, bias, requant, relu, .. } => {
-                    weight.validate()?;
-                    let epi = Epilogue {
-                        bias: bias.clone(),
-                        requant: requant.clone(),
-                        relu: *relu,
-                        lut: lut_of(i),
-                    };
-                    fused_nodes += 1 + epi.folded();
-                    Step::Gemm { src: operand(0)?, dst, weight: weight.clone(), epi }
                 }
                 IntOp::LinearSparse { weight, bias, requant, relu, .. } => {
                     weight.validate().map_err(|e| {
@@ -512,10 +493,10 @@ impl IntModel {
                     let dense = weight.rows * weight.cols;
                     if weight.stored() as f64 >= DENSIFY_DENSITY * dense as f64 {
                         let weight = PackedMat::from_weight(&weight.to_dense())?;
-                        Step::Gemm { src: operand(0)?, dst, weight, epi }
+                        Step::Gemm { src: operand(0), dst, weight, epi }
                     } else {
                         Step::Spmm {
-                            src: operand(0)?,
+                            src: operand(0),
                             dst,
                             cols: weight.col_indices(),
                             weight: weight.clone(),
@@ -531,24 +512,12 @@ impl IntModel {
                         lut: lut_of(i),
                     };
                     fused_nodes += 1 + epi.folded();
-                    let src = operand(0)?;
+                    let src = operand(0);
                     conv_step(src, dst, weight, *spec, geo4(&src), epi)?
                 }
-                IntOp::Conv2dPacked { weight, bias, spec, requant, relu, .. } => {
-                    weight.validate()?;
-                    let epi = Epilogue {
-                        bias: bias.clone(),
-                        requant: Some(requant.clone()),
-                        relu: *relu,
-                        lut: lut_of(i),
-                    };
-                    fused_nodes += 1 + epi.folded();
-                    let src = operand(0)?;
-                    conv_step(src, dst, &weight.unpack()?, *spec, geo4(&src), epi)?
-                }
                 IntOp::AddRequant { m_a, m_b, out_spec, relu } => Step::AddRequant {
-                    a: operand(0)?,
-                    b: operand(1)?,
+                    a: operand(0),
+                    b: operand(1),
                     dst,
                     m_a: *m_a,
                     m_b: *m_b,
@@ -556,27 +525,27 @@ impl IntModel {
                     relu: *relu,
                 },
                 IntOp::AddConstRequant { value, m, out_spec } => Step::AddConst {
-                    src: operand(0)?,
+                    src: operand(0),
                     dst,
                     value: value.as_slice().to_vec(),
                     m: *m,
                     out_spec: *out_spec,
                 },
                 IntOp::MaxPool2d { spec } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::MaxPool { dst, spec: *spec, in_dims: geo4(&src), src }
                 }
                 IntOp::GlobalAvgPool { frac_bits } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::GlobalAvgPool { dst, frac_bits: *frac_bits, in_dims: geo4(&src), src }
                 }
-                IntOp::Flatten => Step::Copy { src: operand(0)?, dst },
+                IntOp::Flatten => Step::Copy { src: operand(0), dst },
                 IntOp::PatchToTokens => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::PatchToTokens { dst, in_dims: geo4(&src), src }
                 }
                 IntOp::ConcatToken { token } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::ConcatToken {
                         dst,
                         token: token.as_slice().to_vec(),
@@ -585,19 +554,19 @@ impl IntModel {
                     }
                 }
                 IntOp::TakeToken { index } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::TakeToken { dst, index: *index, in_dims: geo3(&src), src }
                 }
                 IntOp::SplitHeads { heads } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::SplitHeads { dst, heads: *heads, in_dims: geo3(&src), src }
                 }
                 IntOp::MergeHeads { heads } => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     Step::MergeHeads { dst, heads: *heads, in_dims: geo3(&src), src }
                 }
                 IntOp::BmmRequant { transpose_rhs, m, out_spec } => {
-                    let (a, b) = (operand(0)?, operand(1)?);
+                    let (a, b) = (operand(0), operand(1));
                     Step::Bmm {
                         dst,
                         transpose_rhs: *transpose_rhs,
@@ -610,19 +579,19 @@ impl IntModel {
                     }
                 }
                 IntOp::Requant { m, out_spec } => {
-                    Step::Requant { src: operand(0)?, dst, m: *m, out_spec: *out_spec }
+                    Step::Requant { src: operand(0), dst, m: *m, out_spec: *out_spec }
                 }
                 IntOp::LayerNorm(ln) => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     let d = *shape_of(&src).last().unwrap_or(&1);
                     Step::LayerNorm { src, dst, ln: ln.clone(), d }
                 }
                 IntOp::SoftmaxLut(lut) => {
-                    let src = operand(0)?;
+                    let src = operand(0);
                     let cols = *shape_of(&src).last().unwrap_or(&1);
                     Step::Softmax { src, dst, lut: lut.clone(), cols }
                 }
-                IntOp::GeluLut(lut) => Step::Gelu { src: operand(0)?, dst, lut: lut.clone() },
+                IntOp::GeluLut(lut) => Step::Gelu { src: operand(0), dst, lut: lut.clone() },
             };
             match &step {
                 Step::Bmm { .. } => steady_allocs += 1,
@@ -1092,16 +1061,9 @@ mod tests {
 
     #[test]
     fn plan_matches_interpreter_on_the_mlp_family() {
-        for (tag, (model, dims)) in [
-            ("dense", tiny_mlp()),
-            ("pruned", tiny_mlp_pruned(0.8)),
-            ("nm", tiny_mlp_nm(2, 4)),
-            ("prepacked", {
-                let (mut m, d) = tiny_mlp();
-                m.prepack();
-                (m, d)
-            }),
-        ] {
+        for (tag, (model, dims)) in
+            [("dense", tiny_mlp()), ("pruned", tiny_mlp_pruned(0.8)), ("nm", tiny_mlp_nm(2, 4))]
+        {
             let plan = model.compile(&dims).unwrap();
             let mut arena = Arena::new();
             for batch in [1usize, 3] {

@@ -82,7 +82,8 @@ pub(crate) enum BreakerDecision {
 pub struct AdmittedModel {
     name: String,
     model: IntModel,
-    plan: Option<ExecPlan>,
+    /// Read directly by the serving workers (see [`Self::plan`]).
+    pub(crate) plan: ExecPlan,
     input_dims: Vec<usize>,
     lint: LintReport,
     slot: usize,
@@ -106,11 +107,11 @@ impl AdmittedModel {
         &self.model
     }
 
-    /// The compiled execution plan (fused epilogues + arena layout),
-    /// when admission could compile one. Workers run it with a per-worker
-    /// [`t2c_core::Arena`]; `None` falls back to the interpreter.
+    /// The compiled execution plan (fused epilogues + arena layout) that
+    /// workers run with a per-worker [`t2c_core::Arena`]. Admission refuses
+    /// any model it cannot compile, so this is always `Some`.
     pub fn plan(&self) -> Option<&ExecPlan> {
-        self.plan.as_ref()
+        Some(&self.plan)
     }
 
     /// Canonical input dims with batch axis 1 (e.g. `[1, 3, 8, 8]`).
@@ -280,7 +281,7 @@ fn error_rules(report: &LintReport) -> Vec<&'static str> {
 /// Everything the gate derives from a model that survived it.
 struct Gated {
     model: IntModel,
-    plan: Option<ExecPlan>,
+    plan: ExecPlan,
     lint: LintReport,
     input_scale: f32,
     input_spec: QuantSpec,
@@ -316,7 +317,7 @@ impl ModelRegistry {
     /// [`AdmissionError::LintGate`] when the verifier reports any
     /// error-level finding (the error names the rule ids);
     /// [`AdmissionError::Duplicate`] / [`AdmissionError::BadModel`] for
-    /// structural problems.
+    /// structural problems, including a graph the plan compiler rejects.
     pub fn admit(
         &self,
         name: &str,
@@ -358,7 +359,9 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Structural checks ([`AdmissionError::Duplicate`] /
-    /// [`AdmissionError::BadModel`]) still apply.
+    /// [`AdmissionError::BadModel`]) still apply, and so does plan
+    /// compilation: a graph whose shapes do not check out is refused with
+    /// `BadModel` naming the node.
     pub fn admit_unchecked(
         &self,
         name: &str,
@@ -409,12 +412,13 @@ impl ModelRegistry {
         Ok(admitted)
     }
 
-    /// Runs the lint + certification gate and the structural checks; on
-    /// success returns the (prepacked) model and its serving metadata.
+    /// Runs the lint + certification gate and the structural checks, then
+    /// compiles the execution plan; on success returns the model, its plan
+    /// and its serving metadata.
     fn gate(
         &self,
         name: &str,
-        mut model: IntModel,
+        model: IntModel,
         input_dims: &[usize],
         mut report: LintReport,
         certify: bool,
@@ -458,35 +462,17 @@ impl ModelRegistry {
             return Err(AdmissionError::BadModel("model must start with a Quantize node".into()));
         };
         let (input_scale, input_spec) = (*scale, *spec);
-        // Admission is the serving boundary: every dense linear is
-        // repacked once into the cache-blocked panel layout here, so the
-        // interpreter fallback never pays a per-call weight transform.
-        // Convolutions stay dense — the compiled plan's direct and im2col
-        // kernels read the dense weight — and sparse layers keep their
-        // own encoding. The lint gate above ran on the dense graph;
-        // prepacking is bit-identical, so the verdict carries over.
-        let packed = model.prepack();
-        if packed > 0 && t2c_obs::enabled() {
-            t2c_obs::counter_add("serve.prepacked_layers", packed as u64);
-        }
-        // Compile the execution plan at the same boundary: fused
-        // epilogues + arena layout, bit-identical to the interpreter
-        // (which stays available as the fallback when compilation is
-        // unsupported for a graph). The lint/certification verdicts
-        // above apply verbatim — the graph is untouched. Shape inference
-        // inside `compile` executes the graph, so a model admitted via
-        // `admit_unchecked` may panic here; such models fall back to the
-        // interpreter, keeping admission itself panic-free.
-        let plan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            model.compile(input_dims).ok()
-        }))
-        .ok()
-        .flatten();
+        // Compile the execution plan at the same boundary: static shape
+        // inference, fused epilogues and arena layout, bit-identical to the
+        // interpreter. The lint/certification verdicts above apply verbatim
+        // (the graph is untouched). Compilation validates the graph without
+        // executing it, so a malformed model that skipped the lint gate via
+        // `admit_unchecked` is refused here with an error naming the node.
+        let plan = model.compile(input_dims).map_err(|e| {
+            AdmissionError::BadModel(format!("cannot compile an execution plan: {e}"))
+        })?;
         if t2c_obs::enabled() {
-            t2c_obs::counter_add(
-                if plan.is_some() { "serve.plans_compiled" } else { "serve.plans_fallback" },
-                1,
-            );
+            t2c_obs::counter_add("serve.plans_compiled", 1);
         }
         Ok(Gated { model, plan, lint: report, input_scale, input_spec, certified_steps })
     }

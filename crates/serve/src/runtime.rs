@@ -9,7 +9,7 @@
 //!                                ▼ coalesce (max_batch / max_delay)
 //!                        bounded dispatch channel
 //!                                │ worker pool
-//!                                ▼ concat_axis0 → run_quantized → split_axis0
+//!                                ▼ concat_axis0 → ExecPlan::run_quantized → split_axis0
 //!                        completion slots (per request)
 //! ```
 //!
@@ -658,13 +658,13 @@ fn process_batch(shared: &Arc<Shared>, tickets: Vec<Ticket<Job>>, arena: &mut Ar
             }
         }
     };
-    // Compiled models run their execution plan inside the worker's arena
-    // (fused epilogues, zero steady-state allocations, bit-identical to
-    // the interpreter); uncompiled models fall back to the interpreter.
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match model.plan() {
-        Some(plan) => plan.run_quantized(&joined, arena),
-        None => model.model().run_quantized(&joined),
-    }));
+    // Every admitted model runs its compiled execution plan inside the
+    // worker's arena (fused epilogues, zero steady-state allocations,
+    // bit-identical to the interpreter). Admission validated the graph's
+    // shapes; `catch_unwind` isolates data-dependent faults (a LUT indexed
+    // past its table) so they fail one batch and feed the breaker.
+    let outcome =
+        std::panic::catch_unwind(AssertUnwindSafe(|| model.plan.run_quantized(&joined, arena)));
     match outcome {
         Err(payload) => {
             shared.stats.panics.fetch_add(1, Ordering::Relaxed);

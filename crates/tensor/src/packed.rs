@@ -1,8 +1,8 @@
-//! Prepacked integer weights and the cache-blocked saturating matmul.
+//! Panel-packed integer weights and the cache-blocked saturating matmul.
 //!
 //! The serving hot path multiplies a fixed weight matrix against a stream
 //! of small activation batches. [`PackedMat`] pre-transforms such a weight
-//! **once, at model-admission time** into column-panel tiles so that every
+//! **once, when an execution plan is compiled** into column-panel tiles so that every
 //! subsequent [`matmul_i32_sat_packed`] call reads the weight in the exact
 //! order the kernel consumes it — no per-call transpose, and each panel is
 //! small enough to stay cache-resident while a block of output rows is
@@ -58,7 +58,7 @@
 //! reduction depth; adversarial full-range inputs fall back to the clamped
 //! scalar chain.
 
-use crate::ops::{im2col, require_rank, Conv2dSpec};
+use crate::ops::require_rank;
 use crate::parallel::par_units;
 use crate::{Result, Tensor, TensorError};
 
@@ -74,7 +74,7 @@ const PACK_BLOCK: usize = 8;
 /// weight row across `MR` activation rows before it leaves cache.
 pub(crate) const MR: usize = 8;
 
-/// A `[n, k]` integer weight prepacked into column-panel tiles (see the
+/// A `[n, k]` integer weight packed into column-panel tiles (see the
 /// module docs for the layout).
 ///
 /// Fields are public so the lint/test layers can corrupt one; consumers
@@ -235,118 +235,6 @@ pub(crate) fn max_abs(vals: &[i32]) -> u32 {
     vals.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0)
 }
 
-/// A `[oc, cg, kh, kw]` convolution weight prepacked per group: each
-/// group's `[ocg, cg·kh·kw]` im2col block becomes one [`PackedMat`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedConv {
-    /// Output channels of the original weight.
-    pub oc: usize,
-    /// Input channels per group.
-    pub cg: usize,
-    /// Kernel height.
-    pub kh: usize,
-    /// Kernel width.
-    pub kw: usize,
-    /// Channel groups (must divide `oc`).
-    pub groups: usize,
-    /// One packed block per group, each `[oc / groups, cg·kh·kw]`.
-    pub blocks: Vec<PackedMat>,
-}
-
-impl PackedConv {
-    /// Packs a rank-4 `[oc, cg, kh, kw]` convolution weight.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `weight` is not rank 4, has a zero dimension,
-    /// or `groups` does not divide `oc`.
-    pub fn from_weight(weight: &Tensor<i32>, groups: usize) -> Result<Self> {
-        require_rank(weight, 4, "PackedConv::from_weight")?;
-        let (oc, cg, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-        if groups == 0 || oc % groups != 0 {
-            return Err(TensorError::InvalidGeometry(format!(
-                "groups {groups} must divide out-channels {oc}"
-            )));
-        }
-        let ocg = oc / groups;
-        let k = cg * kh * kw;
-        let ws = weight.as_slice();
-        let blocks = (0..groups)
-            .map(|g| {
-                // Group rows are contiguous in the [oc, cg·kh·kw] flattening.
-                let block =
-                    Tensor::from_vec(ws[g * ocg * k..(g + 1) * ocg * k].to_vec(), &[ocg, k])?;
-                PackedMat::from_weight(&block)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(PackedConv { oc, cg, kh, kw, groups, blocks })
-    }
-
-    /// The reduction length of each group block (`cg·kh·kw`).
-    pub fn k(&self) -> usize {
-        self.cg * self.kh * self.kw
-    }
-
-    /// Elements of the original dense weight.
-    pub fn logical_numel(&self) -> usize {
-        self.oc * self.cg * self.kh * self.kw
-    }
-
-    /// Number of zero values in the logical weight (padding excluded).
-    pub fn count_zeros(&self) -> usize {
-        self.blocks.iter().map(PackedMat::count_zeros).sum()
-    }
-
-    /// Reconstructs the dense `[oc, cg, kh, kw]` weight.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the structure is invalid.
-    pub fn unpack(&self) -> Result<Tensor<i32>> {
-        self.validate()?;
-        let mut data = Vec::with_capacity(self.logical_numel());
-        for block in &self.blocks {
-            data.extend_from_slice(block.unpack()?.as_slice());
-        }
-        Tensor::from_vec(data, &[self.oc, self.cg, self.kh, self.kw])
-    }
-
-    /// Checks that the group structure and every block's invariants hold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] or
-    /// [`TensorError::InvalidGeometry`] naming the violated invariant.
-    pub fn validate(&self) -> Result<()> {
-        if self.groups == 0 || !self.oc.is_multiple_of(self.groups) {
-            return Err(TensorError::InvalidGeometry(format!(
-                "packed conv groups {} must divide out-channels {}",
-                self.groups, self.oc
-            )));
-        }
-        if self.blocks.len() != self.groups {
-            return Err(TensorError::InvalidArgument(format!(
-                "packed conv stores {} blocks for {} groups",
-                self.blocks.len(),
-                self.groups
-            )));
-        }
-        let ocg = self.oc / self.groups;
-        for (g, block) in self.blocks.iter().enumerate() {
-            block.validate()?;
-            if block.n != ocg || block.k != self.k() {
-                return Err(TensorError::InvalidArgument(format!(
-                    "packed conv block {g} is [{}, {}], expected [{ocg}, {}]",
-                    block.n,
-                    block.k,
-                    self.k()
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Records call/MAC/byte counters for a packed product. One branch when
 /// profiling is disabled.
 fn record_packed(op: &str, m: usize, k: usize, n: usize) {
@@ -420,29 +308,6 @@ pub(crate) fn packed_tile(
     }
 }
 
-/// Sequential packed product into a caller-provided row-major `[m, n]`
-/// buffer — the single-worker core shared by [`matmul_i32_sat_packed`]
-/// (which parallelizes over tiles instead) and the packed convolution.
-fn packed_gemm_seq(a: &[i32], m: usize, k: usize, w: &PackedMat, out: &mut [i32]) {
-    debug_assert_eq!(out.len(), m * w.n);
-    let n = w.n;
-    let mut tile = [0i32; MR * PANEL];
-    for (t, pdata) in w.data.chunks(k * PANEL).enumerate() {
-        let cols = PANEL.min(n - t * PANEL);
-        let mut i0 = 0;
-        while i0 < m {
-            let rows = MR.min(m - i0);
-            tile.fill(0);
-            packed_tile(&a[i0 * k..], rows, k, pdata, w.panel_max[t], &mut tile);
-            for r in 0..rows {
-                out[(i0 + r) * n + t * PANEL..][..cols]
-                    .copy_from_slice(&tile[r * PANEL..r * PANEL + cols]);
-            }
-            i0 += rows;
-        }
-    }
-}
-
 /// Packed integer matrix product: `[m, k]` activations × packed `[n, k]`
 /// weight → `[m, n]`, with the same per-MAC i64→i32 saturation as
 /// `Tensor::matmul_i` — bit-identical to
@@ -494,78 +359,6 @@ pub fn matmul_i32_sat_packed(x: &Tensor<i32>, w: &PackedMat) -> Result<Tensor<i3
         }
     }
     Tensor::from_vec(out, &[m, n])
-}
-
-/// Packed integer 2-D convolution: `[N,C,H,W]` ⊛ packed `[OC,C/g,KH,KW]`
-/// → `[N,OC,OH,OW]`, bit-identical to [`crate::ops::conv2d_i32`] on the
-/// unpacked weight (no bias — the model layer applies bias separately).
-///
-/// Uses the same im2col unrolling and `(image × group)` work partition as
-/// the dense path; within a unit the patch block is transposed so the
-/// group's prepacked weight block is the panel operand.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape/geometry mismatches, if `spec.groups`
-/// disagrees with the packed group structure, or if the packed structure
-/// is invalid.
-pub fn conv2d_i32_packed(
-    x: &Tensor<i32>,
-    weight: &PackedConv,
-    spec: Conv2dSpec,
-) -> Result<Tensor<i32>> {
-    weight.validate()?;
-    require_rank(x, 4, "conv2d_i32_packed")?;
-    if spec.groups != weight.groups {
-        return Err(TensorError::InvalidGeometry(format!(
-            "spec groups {} disagree with packed weight groups {}",
-            spec.groups, weight.groups
-        )));
-    }
-    let (n, c, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let g = weight.groups;
-    let (oc, cg, kh, kw) = (weight.oc, weight.cg, weight.kh, weight.kw);
-    if c % g != 0 || cg != c / g {
-        return Err(TensorError::ShapeMismatch {
-            lhs: x.dims().to_vec(),
-            rhs: vec![oc, cg, kh, kw],
-            op: "conv2d_i32_packed",
-        });
-    }
-    let oh = spec.out_extent(h, kh)?;
-    let ow = spec.out_extent(wd, kw)?;
-    let l = oh * ow;
-    let ocg = oc / g;
-    let k = weight.k();
-    let _t = t2c_obs::Timer::scoped("kernel.conv2d_i32_packed.time_ns");
-    record_packed("kernel.conv2d_i32_packed", n * l, k, oc);
-    let cols = im2col(x, kh, kw, spec)?;
-    let cols_rows = c * kh * kw;
-    let cslice = cols.as_slice();
-    let mut out = vec![0i32; n * oc * l];
-    par_units(&mut out, ocg * l, |u0, run| {
-        // Per-worker scratch: the transposed patch block and the packed
-        // product in `[l, ocg]` orientation.
-        let mut ct = vec![0i32; l * k];
-        let mut ot = vec![0i32; l * ocg];
-        for (i, ounit) in run.chunks_mut(ocg * l).enumerate() {
-            let (img, grp) = ((u0 + i) / g, (u0 + i) % g);
-            let c_start = img * cols_rows * l + grp * k * l;
-            let c_block = &cslice[c_start..c_start + k * l];
-            for p in 0..k {
-                for j in 0..l {
-                    ct[j * k + p] = c_block[p * l + j];
-                }
-            }
-            packed_gemm_seq(&ct, l, k, &weight.blocks[grp], &mut ot);
-            for (oi, orow) in ounit.chunks_mut(l).enumerate() {
-                for (j, ov) in orow.iter_mut().enumerate() {
-                    *ov = ot[j * ocg + oi];
-                }
-            }
-        }
-    });
-    Tensor::from_vec(out, &[n, oc, oh, ow])
 }
 
 #[cfg(test)]
@@ -672,37 +465,5 @@ mod tests {
         let packed = PackedMat::from_weight(&w).unwrap();
         let x = pseudo_i(&[2, 6], 2, 10);
         assert!(matmul_i32_sat_packed(&x, &packed).is_err());
-    }
-
-    #[test]
-    fn packed_conv_matches_dense_conv() {
-        use crate::ops::conv2d_i32;
-        // (x dims, w dims, spec) covering stride, padding and grouping.
-        let cases = [
-            ([2, 3, 7, 7], [5, 3, 3, 3], Conv2dSpec::new(1, 1)),
-            ([1, 2, 8, 8], [3, 2, 3, 3], Conv2dSpec::new(2, 1)),
-            ([2, 4, 6, 6], [4, 1, 3, 3], Conv2dSpec::new(1, 1).with_groups(4)),
-        ];
-        for (xd, wdim, spec) in cases {
-            let x = pseudo_i(&xd, 31, 255);
-            let w = pseudo_i(&wdim, 37, 255);
-            let packed = PackedConv::from_weight(&w, spec.groups).unwrap();
-            packed.validate().unwrap();
-            assert_eq!(packed.unpack().unwrap().as_slice(), w.as_slice());
-            let expect = conv2d_i32(&x, &w, None, spec).unwrap();
-            for threads in [1, 3] {
-                let got = with_threads(threads, || conv2d_i32_packed(&x, &packed, spec).unwrap());
-                assert_eq!(got.dims(), expect.dims());
-                assert_eq!(got.as_slice(), expect.as_slice(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_conv_rejects_group_mismatch() {
-        let w = pseudo_i(&[4, 2, 3, 3], 1, 20);
-        let packed = PackedConv::from_weight(&w, 2).unwrap();
-        let x = pseudo_i(&[1, 4, 6, 6], 2, 20);
-        assert!(conv2d_i32_packed(&x, &packed, Conv2dSpec::new(1, 1)).is_err());
     }
 }

@@ -1,18 +1,19 @@
 //! End-to-end execution-plan equivalence: `IntModel::compile` lowers a
 //! graph into a fused, arena-backed [`t2c_core::ExecPlan`], and the plan
 //! must reproduce the interpreter's logits bit for bit on every zoo model
-//! — dense, pruned, N:M structured and prepacked — at any worker count
-//! and batch size, including inputs at the `i32` rails. A plan compiled
-//! from an export/import round-trip of the model must agree as well: the
-//! serialized graph carries everything compilation needs. The CNN plans
-//! must also run without a steady-state allocation, and sparse layers
-//! must pick the kernel their stored density calls for.
+//! — dense, pruned and N:M structured MLPs, the CNNs and the ViT — at any
+//! worker count and batch size, including inputs at the `i32` rails. A
+//! plan compiled from an export/import round-trip of the model must agree
+//! as well: the serialized graph carries everything compilation needs.
+//! The CNN plans must also run without a steady-state allocation, sparse
+//! layers must pick the kernel their stored density calls for, and the
+//! static shapes `compile` plans with must be the shapes the interpreter
+//! actually produces.
 
-use t2c_core::intmodel::IntOp;
 use t2c_core::{zoo, Arena, IntModel};
 use t2c_export::{read_intmodel, write_intmodel};
 use t2c_tensor::rng::TensorRng;
-use t2c_tensor::{with_threads, PackedConv, Tensor};
+use t2c_tensor::{with_threads, Tensor};
 
 fn random_input(dims: &[usize], seed: u64) -> Tensor<f32> {
     TensorRng::seed_from(seed).uniform(dims, -1.0, 1.0)
@@ -25,7 +26,7 @@ fn batched(dims: &[usize], batch: usize) -> Vec<usize> {
 }
 
 /// Every variant of the MLP family the toolkit produces: dense, magnitude
-/// pruned, N:M structured, and the cache-blocked prepacked twin of each.
+/// pruned and N:M structured.
 fn mlp_family() -> Vec<(String, IntModel, Vec<usize>)> {
     let mut out = Vec::new();
     let (dense, dims) = zoo::tiny_mlp();
@@ -34,11 +35,6 @@ fn mlp_family() -> Vec<(String, IntModel, Vec<usize>)> {
     out.push(("mlp-pruned-0.8".into(), pruned, dims));
     let (nm, dims) = zoo::tiny_mlp_nm(2, 4);
     out.push(("mlp-nm-2of4".into(), nm, dims));
-    for (tag, model, dims) in out.clone() {
-        let mut packed = model;
-        packed.prepack();
-        out.push((format!("{tag}-prepacked"), packed, dims));
-    }
     out
 }
 
@@ -103,36 +99,16 @@ fn plans_survive_an_export_import_round_trip() {
     }
 }
 
-/// MobileNet and ResNet, each with a twin whose linears are prepacked and
-/// whose convolutions are hand-converted to `Conv2dPacked` (the compiled
-/// plan unpacks those once).
+/// MobileNet and ResNet.
 fn cnn_family() -> Vec<(String, IntModel, Vec<usize>)> {
-    let mut out = Vec::new();
-    for (tag, (model, dims)) in
-        [("mobilenet-ptq", zoo::mobilenet_ptq()), ("resnet-qat", zoo::resnet_qat())]
-    {
-        let mut packed = model.clone();
-        packed.prepack();
-        for node in &mut packed.nodes {
-            if let IntOp::Conv2d { weight, bias, spec, requant, relu, weight_spec } = &node.op {
-                node.op = IntOp::Conv2dPacked {
-                    weight: PackedConv::from_weight(weight, spec.groups).expect("conv packs"),
-                    bias: bias.clone(),
-                    spec: *spec,
-                    requant: requant.clone(),
-                    relu: *relu,
-                    weight_spec: *weight_spec,
-                };
-            }
-        }
-        out.push((tag.to_string(), model, dims.clone()));
-        out.push((format!("{tag}-packed"), packed, dims));
-    }
-    out
+    [("mobilenet-ptq", zoo::mobilenet_ptq()), ("resnet-qat", zoo::resnet_qat())]
+        .into_iter()
+        .map(|(tag, (model, dims))| (tag.to_string(), model, dims))
+        .collect()
 }
 
 #[test]
-fn cnn_plans_match_the_interpreter_across_batches_threads_and_packed_twins() {
+fn cnn_plans_match_the_interpreter_across_batches_and_threads() {
     for (tag, model, dims) in cnn_family() {
         let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
         let mut arena = Arena::new();
@@ -210,5 +186,22 @@ fn sparse_layers_pick_their_kernel_by_stored_density() {
         let fc1 = model.nodes.iter().position(|n| n.name == "fc1").expect("fc1 node");
         let got = plan.kernels().find(|&(node, _)| node == fc1).map(|(_, k)| k);
         assert_eq!(got, Some(want), "{tag}: fc1 kernel");
+    }
+}
+
+#[test]
+fn static_shapes_match_the_executed_shapes_on_every_zoo_model() {
+    let mut models: Vec<(String, IntModel, Vec<usize>)> = mlp_family();
+    models.extend(cnn_family());
+    let (vit, vdims) = zoo::vit_ptq();
+    models.push(("vit-ptq".into(), vit, vdims));
+    for (tag, model, dims) in models {
+        for batch in [1usize, 3, 8] {
+            let bdims = batched(&dims, batch);
+            let shapes = model.infer_shapes(&bdims).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let values = model.run_all(&random_input(&bdims, batch as u64)).expect("run_all");
+            let executed: Vec<&[usize]> = values.iter().map(Tensor::dims).collect();
+            assert_eq!(shapes, executed, "{tag}: static shapes diverge at batch {batch}");
+        }
     }
 }
