@@ -220,10 +220,10 @@ fn main() {
         }
         println!(
             "  {name}: steady allocs {steady} / {STEADY_ITERS} iters ({}), arena {} B/sample \
-             + {} B scratch, kernels {}",
+             + {} B i16 scratch at batch 1, kernels {}",
             if gated { "gated" } else { "reported" },
             plan.arena_bytes(),
-            plan.scratch_bytes(),
+            plan.scratch_bytes(1),
             kernels.join(", ")
         );
         let kernels_json: Vec<String> = kernels.iter().map(|k| format!("\"{k}\"")).collect();
@@ -232,7 +232,7 @@ fn main() {
              \"arena_bytes\": {}, \"scratch_bytes\": {}, \"fused_nodes\": {}, \
              \"kernels\": [{}]}}",
             plan.arena_bytes(),
-            plan.scratch_bytes(),
+            plan.scratch_bytes(1),
             plan.fused_nodes(),
             kernels_json.join(", ")
         ));

@@ -12,26 +12,38 @@
 //!
 //!    | node                         | kernel ([`ExecPlan::kernels`])       |
 //!    |------------------------------|--------------------------------------|
-//!    | `Linear`                     | `packed-gemm`: 64-wide panel GEMM    |
-//!    | `LinearSparse`, stored density ≥ [`DENSIFY_DENSITY`] | `packed-gemm` on the densified weight |
+//!    | `Linear`                     | `packed-gemm/i16`: 64-wide panel GEMM on `i16` operands |
+//!    | `LinearSparse`, stored density ≥ [`DENSIFY_DENSITY`] | `packed-gemm/i16` on the densified weight |
 //!    | `LinearSparse`, sparser      | `spmm`: skip-zero sparse product     |
 //!    | `Conv2d`, one input and one output channel per group | `dwconv-direct`: per-channel direct kernel |
-//!    | any other `Conv2d`           | `im2col-gemm`: im2col into the arena scratch + weight-stationary GEMM |
+//!    | any other `Conv2d`           | `im2col-gemm/i16`: im2col into the arena's `i16` region + the GEMM's tile |
 //!
 //!    The graph stores dense weights only; the layout each kernel reads
-//!    is built here, at compile time.
+//!    is built here, at compile time, and stores every code **once**, at
+//!    the narrowest width that holds it: `i16` when every `|w| ≤
+//!    i16::MAX` (every ≤ 8-bit weight, so every zoo weight), else `i32`
+//!    — the `/i32` kernels. The two GEMM-shaped kernels share one
+//!    register-tiled `MR × 64` tile (`t2c_tensor::packed`): the GEMM
+//!    narrows each block of activation rows to `i16` once, and the conv
+//!    writes its patch block straight to `i16`, with weight rows standing
+//!    in for activation rows. The default x86-64 target has no 32-bit
+//!    vector multiply (SSE2), so `i32 × i32` ran emulated; `i16`
+//!    operands multiply natively.
 //!    The rules come from measurements on a 2-core Xeon host at one
 //!    thread. The zoo CNNs have 1 (depthwise) to 32 output channels per
-//!    group, so the 64-wide packed panels the plan used to run every conv
-//!    through were 50–98% padding: MobileNet's depthwise convs ran at
-//!    0.06 GMAC/s and took most of its plan time. The direct kernel runs
-//!    them at 0.83 GMAC/s and the im2col GEMM runs ResNet's 3×3 convs at
-//!    2.7 GMAC/s (0.73 packed). Per call at batch 1 (median of ten runs
-//!    of the deployment benchmark's `zoo-plan` workload), MobileNet went
-//!    from 898 to 170 µs, ResNet from 833 to 219 µs and ViT, through its
-//!    patch embedding, from 330 to 271 µs. The sparse crossover is
-//!    measured in [`DENSIFY_DENSITY`]'s docs; densified, the 2:4 MLP went
-//!    from 14.5 to 9.8 µs, level with the dense MLP's 9.9 µs.
+//!    group, so 64-wide packed panels for convs were 50–98% padding: the
+//!    direct kernel runs the depthwise convs and the im2col GEMM the
+//!    rest. With `i32` operands the fused steps ran at 3.4 GMAC/s (MLP
+//!    fc1), 3.8 (ResNet 3×3 convs), 2.6 (MobileNet pointwise) and 1.9
+//!    (ViT linears); with the narrow tile at 8.0, 5.4, 3.2 and 3.0
+//!    (traced run of the deployment benchmark's `zoo-plan` workload).
+//!    Per call at batch 1 the MLPs went from 8.7 to 4.4 µs, ResNet from
+//!    192 to 124 µs, ViT from 241 to 154 µs and MobileNet from 149 to
+//!    127 µs. The tile covers output widths that are not a multiple of
+//!    64 in power-of-two column chunks, so ViT's 16-wide patch grid and
+//!    the 10-wide heads compute no padding columns. The sparse crossover
+//!    is measured in [`DENSIFY_DENSITY`]'s docs; the narrow GEMM moved it
+//!    from 0.25 to 0.125, so the 80%-pruned MLP now runs densified too.
 //! 2. **Fusion.** Each MAC node — which the interpreter runs as up to
 //!    four full-tensor passes (MAC, channel bias, `MulQuant` requant +
 //!    ReLU, optionally a following `GeluLut`) — becomes one fused step.
@@ -47,12 +59,13 @@
 //!    after which its output is dead; a greedy best-fit allocator then
 //!    assigns every output an offset in one shared scratch arena,
 //!    returning freed intervals to a coalescing free list. The arena is
-//!    sized at compile time ([`ExecPlan::arena_bytes`] per sample, plus a
-//!    batch-independent [`ExecPlan::scratch_bytes`] im2col region holding
-//!    one (image, group) patch block of the largest convolution) and
-//!    reused across batches — [`Arena`] grows monotonically and never
-//!    shrinks, so steady-state inference touches the allocator only when
-//!    a larger batch arrives.
+//!    sized at compile time ([`ExecPlan::arena_bytes`] per sample, plus an
+//!    `i16` operand region, [`ExecPlan::scratch_bytes`], holding the
+//!    larger of one (image, group) patch block of the largest convolution
+//!    and the narrowed copy of the largest GEMM input) and reused across
+//!    batches — [`Arena`] grows monotonically and never shrinks, so
+//!    steady-state inference touches the allocator only when a larger
+//!    batch arrives.
 //!
 //! # Bit-identity
 //!
@@ -60,10 +73,14 @@
 //! `T2C_THREADS` setting, by composition of two arguments:
 //!
 //! * The fused kernels keep the per-output-element reduction order and
-//!   per-MAC saturation chain of the interpreter's kernels, or take an
-//!   unclamped `i32` chain only where a `Σ|w| · max|x|` bound proves the
-//!   clamp can never engage (see `t2c_tensor::fused`). Densifying a
-//!   sparse weight only adds zero products, which the chain skips.
+//!   per-MAC saturation chain of the interpreter's kernels, or take the
+//!   narrow chain only for a block whose activations fit `i16` and whose
+//!   `Σ|a| · max|w|` bound proves the clamp can never engage: every
+//!   partial sum then stays inside the `i32` rails, and products of
+//!   `i16` operands are exact in `i32`, so plain multiply-adds give the
+//!   clamped chain's result (see `t2c_tensor::packed` and
+//!   `t2c_tensor::fused`). Densifying a sparse weight only adds zero
+//!   products, which change no partial sum.
 //! * Every epilogue stage is the exact per-element scalar the interpreter
 //!   applies tensor-wide — the same `saturating_add`/clamp channel bias,
 //!   [`MulQuant::apply_scalar_relu`] requant and [`GeluLut::lookup`] —
@@ -100,11 +117,12 @@ use crate::Result;
 
 /// A reusable scratch buffer for plan execution. One arena per worker: it
 /// grows monotonically to the largest `arena_words × batch` seen (plus
-/// the plan's batch-independent im2col scratch) and is reused across
-/// batches, so steady-state inference allocates nothing.
+/// the plan's `i16` operand region, [`ExecPlan::scratch_bytes`]) and is
+/// reused across batches, so steady-state inference allocates nothing.
 #[derive(Debug, Default)]
 pub struct Arena {
     buf: Vec<i32>,
+    narrow: Vec<i16>,
 }
 
 impl Arena {
@@ -116,15 +134,19 @@ impl Arena {
 
     /// Current capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
-        self.buf.len() * 4
+        self.buf.len() * 4 + self.narrow.len() * 2
     }
 
-    /// Grows (never shrinks) the buffer to at least `words` values.
-    fn ensure(&mut self, words: usize) -> &mut [i32] {
+    /// Grows (never shrinks) the buffers to at least `words` `i32` slot
+    /// values and `narrow` `i16` operand values.
+    fn ensure(&mut self, words: usize, narrow: usize) -> (&mut [i32], &mut [i16]) {
         if self.buf.len() < words {
             self.buf.resize(words, 0);
         }
-        &mut self.buf[..words]
+        if self.narrow.len() < narrow {
+            self.narrow.resize(narrow, 0);
+        }
+        (&mut self.buf[..words], &mut self.narrow[..narrow])
     }
 }
 
@@ -315,13 +337,16 @@ impl Step {
     }
 
     /// The kernel chosen for a MAC step (see the module docs' kernel
-    /// menu); `None` for the other steps, which have no choice to make.
+    /// menu), with the operand width of its tile; `None` for the other
+    /// steps, which have no choice to make.
     fn kernel(&self) -> Option<&'static str> {
         match self {
-            Step::Gemm { .. } => Some("packed-gemm"),
+            Step::Gemm { weight, .. } if weight.data.is_narrow() => Some("packed-gemm/i16"),
+            Step::Gemm { .. } => Some("packed-gemm/i32"),
             Step::Spmm { .. } => Some("spmm"),
             Step::DwConv { .. } => Some("dwconv-direct"),
-            Step::ConvGemm { .. } => Some("im2col-gemm"),
+            Step::ConvGemm { weight, .. } if weight.is_narrow() => Some("im2col-gemm/i16"),
+            Step::ConvGemm { .. } => Some("im2col-gemm/i32"),
             _ => None,
         }
     }
@@ -331,21 +356,29 @@ impl Step {
 /// `LinearSparse` layer is densified into the packed GEMM at compile
 /// time; sparser layers keep the skip-zero `Spmm` kernel.
 ///
-/// Measured on a `[128, 256]` weight (the zoo MLP's fc1 shape) at one
-/// thread on a 2-core Xeon host, median of five runs, packed GEMM vs
-/// skip-zero SpMM:
+/// Measured on a `[128, 256]` weight (the zoo MLP's fc1 shape) with
+/// random unstructured masks and int8-range activations, at one thread
+/// on a 2-core Xeon host, through the fused entry points the plan calls
+/// (`i16` packed GEMM vs skip-zero SpMM); each cell is the median of
+/// three runs, each run the median of five best-of-200 timings:
 ///
-/// | stored density | batch 1        | batch 8          |
-/// |----------------|----------------|------------------|
-/// | 0.10           | 8.1 vs 3.2 µs  | 63.9 vs 26.7 µs  |
-/// | 0.20           | 9.0 vs 8.1 µs  | 66.5 vs 56.7 µs  |
-/// | 0.25           | 8.4 vs 8.4 µs  | 66.5 vs 67.5 µs  |
-/// | 0.30           | 8.4 vs 10.2 µs | 71.8 vs 81.7 µs  |
-/// | 0.50 (2:4)     | 8.4 vs 19.9 µs | 78.7 vs 207.0 µs |
+/// | stored density | batch 1        | batch 8           |
+/// |----------------|----------------|-------------------|
+/// | 0.05           | 3.3 vs 1.5 µs  | 26.0 vs 11.2 µs   |
+/// | 0.07           | 3.3 vs 2.0 µs  | 25.2 vs 15.0 µs   |
+/// | 0.09           | 3.2 vs 2.6 µs  | 26.0 vs 28.6 µs   |
+/// | 0.12           | 4.4 vs 4.7 µs  | 34.8 vs 25.1 µs   |
+/// | 0.14           | 3.6 vs 4.6 µs  | 26.9 vs 29.6 µs   |
+/// | 0.19           | 3.4 vs 5.7 µs  | 26.9 vs 47.2 µs   |
+/// | 0.24           | 3.6 vs 8.5 µs  | 31.7 vs 70.1 µs   |
+/// | 0.47 (2:4)     | 3.8 vs 16.2 µs | 26.1 vs 103.7 µs  |
 ///
 /// The packed GEMM's cost does not depend on density; SpMM's grows with
-/// it and crosses the GEMM at 0.25 at both batch sizes.
-pub const DENSIFY_DENSITY: f64 = 0.25;
+/// it and crosses the GEMM between 0.09 and 0.14 at both batch sizes.
+/// With the 32-bit GEMM the crossover sat at 0.25; the narrow GEMM moved
+/// it down, so the zoo's 80%-pruned MLP (stored density ≈ 0.2) now runs
+/// densified.
+pub const DENSIFY_DENSITY: f64 = 0.125;
 
 /// A compiled, shape-specialized execution plan (see the module docs).
 /// Built by [`IntModel::compile`]; the model graph itself is untouched,
@@ -356,8 +389,10 @@ pub struct ExecPlan {
     steps: Vec<Step>,
     slots: Vec<Slot>,
     arena_words: usize,
-    /// Batch-independent im2col scratch after the batch-scaled slots.
+    /// Batch-independent `i16` values of the largest im2col patch block.
     scratch_words: usize,
+    /// Per-sample `i16` values of the largest narrowed GEMM input.
+    narrow_words: usize,
     input_dims1: Vec<usize>,
     out_dims1: Vec<usize>,
     out_node: usize,
@@ -452,6 +487,7 @@ impl IntModel {
         let mut fused_nodes = 0usize;
         let mut steady_allocs = 0usize;
         let mut scratch_words = 0usize;
+        let mut narrow_words = 0usize;
         for (i, node) in self.nodes.iter().enumerate() {
             if folded[i] {
                 continue;
@@ -492,7 +528,7 @@ impl IntModel {
                     fused_nodes += 1 + epi.folded();
                     let dense = weight.rows * weight.cols;
                     if weight.stored() as f64 >= DENSIFY_DENSITY * dense as f64 {
-                        let weight = PackedMat::from_weight(&weight.to_dense())?;
+                        let weight = PackedMat::from_sparse(weight)?;
                         Step::Gemm { src: operand(0), dst, weight, epi }
                     } else {
                         Step::Spmm {
@@ -595,6 +631,9 @@ impl IntModel {
             };
             match &step {
                 Step::Bmm { .. } => steady_allocs += 1,
+                Step::Gemm { src, .. } => {
+                    narrow_words = narrow_words.max(shape_of(src).iter().product());
+                }
                 Step::ConvGemm { weight, .. } => {
                     scratch_words = scratch_words.max(weight.scratch_words());
                 }
@@ -659,6 +698,7 @@ impl IntModel {
             slots,
             arena_words,
             scratch_words,
+            narrow_words,
             input_dims1: dims1,
             out_dims1: shapes[out_node].clone(),
             out_node,
@@ -755,10 +795,16 @@ impl ExecPlan {
         self.arena_words * 4
     }
 
-    /// The batch-independent im2col scratch region of the arena, in bytes:
-    /// one (image, group) patch block of the largest convolution.
-    pub fn scratch_bytes(&self) -> usize {
-        self.scratch_words * 4
+    /// The arena's `i16` operand region for a batch of `batch` samples, in
+    /// bytes: the larger of one (image, group) patch block of the largest
+    /// convolution and the narrowed copy of the largest GEMM input. Sized
+    /// at compile time; steps use it one at a time.
+    pub fn scratch_bytes(&self, batch: usize) -> usize {
+        self.narrow_len(batch) * 2
+    }
+
+    fn narrow_len(&self, batch: usize) -> usize {
+        self.scratch_words.max(self.narrow_words * batch)
     }
 
     /// The kernel chosen for each MAC step, in execution order, as
@@ -813,8 +859,7 @@ impl ExecPlan {
     ) -> Result<()> {
         let bs = self.batch_of(x.dims())?;
         let xs = x.as_slice();
-        let words = self.arena_words * bs;
-        let (buf, scratch) = arena.ensure(words + self.scratch_words).split_at_mut(words);
+        let (buf, scratch) = arena.ensure(self.arena_words * bs, self.narrow_len(bs));
         for step in &self.steps {
             exec_step(step, &self.slots, xs, bs, buf, scratch)?;
         }
@@ -922,7 +967,7 @@ fn exec_step(
     xs: &[i32],
     bs: usize,
     buf: &mut [i32],
-    scratch: &mut [i32],
+    scratch: &mut [i16],
 ) -> Result<()> {
     if matches!(step, Step::InputAlias { .. }) {
         return Ok(()); // the input itself is the value
@@ -939,7 +984,7 @@ fn exec_step(
         Step::Gemm { src, weight, epi, .. } => {
             let x = rd(*src)?;
             let rows = x.len() / weight.k.max(1);
-            gemm_fused_into(x, rows, weight, &|acc, ch| epi.apply(acc, ch), dbuf)?;
+            gemm_fused_into(x, rows, weight, scratch, &|acc, ch| epi.apply(acc, ch), dbuf)?;
         }
         Step::Spmm { src, weight, cols, epi, .. } => {
             let x = rd(*src)?;
@@ -1197,7 +1242,11 @@ mod tests {
         let mut out = Vec::new();
         plan.run_quantized_into(&x, &mut arena, &mut out).unwrap();
         let cap = arena.capacity_bytes();
-        assert_eq!(cap, plan.arena_bytes() * 2, "arena sized at batch × per-sample bytes");
+        assert_eq!(
+            cap,
+            plan.arena_bytes() * 2 + plan.scratch_bytes(2),
+            "arena sized at batch × per-sample bytes plus the i16 operand region"
+        );
         let first = out.clone();
         plan.run_quantized_into(&x, &mut arena, &mut out).unwrap();
         assert_eq!(out, first, "stale arena contents must not leak into a rerun");

@@ -14,11 +14,12 @@
 //!   NCHW input plane in place (no im2col), tap by tap, accumulating the
 //!   output plane in the destination.
 //! * [`conv_gemm_fused_into`] — every other convolution: im2col of one
-//!   (image, group) into caller scratch, then a weight-stationary
-//!   `[ocg, k] × [k, oh·ow]` product whose output rows are the
-//!   destination's spatial-contiguous channel rows (the interpreter's
-//!   orientation). 1×1 stride-1 unpadded convs skip the im2col: their
-//!   input block already is the patch block.
+//!   (image, group) straight into an `i16` patch block in caller scratch,
+//!   then a weight-stationary `[ocg, k] × [k, oh·ow]` product whose output
+//!   rows are the destination's spatial-contiguous channel rows (the
+//!   interpreter's orientation). 1×1 stride-1 unpadded convs skip the
+//!   im2col: their input block already is the patch block, and is only
+//!   narrow-copied.
 //!
 //! The convolution kernels accumulate whole output-channel rows in place
 //! and then call `epi(row, out_channel)` to rewrite the row, so the
@@ -28,22 +29,27 @@
 //!
 //! The interpreter's kernels clamp the `i64` accumulator back into `i32`
 //! after **every** MAC, in ascending reduction order; a zero product is a
-//! no-op. The GEMM/SpMM kernels keep that order and chain for every
-//! output element (see the `packed`/`sparse` module docs). The
-//! convolution kernels visit each output element's reduction index
-//! `(ci, ki, kj)` in ascending order too, skipping only zero weights and
-//! padding taps (zero products), and choose per output row between two
-//! chains:
+//! no-op. The GEMM/SpMM kernels keep that chain for every output element
+//! or take the narrow `i16` chain where it provably gives the same result
+//! (see the `packed`/`sparse` module docs). The convolution kernels visit
+//! each output element's reduction index `(ci, ki, kj)` in ascending
+//! order too, skipping only zero weights and padding taps (zero
+//! products). `im2col-gemm` chooses per block of 8 (`MR`)
+//! output channels, and `dwconv-direct` per channel, between two chains:
 //!
-//! * **saturation-free `i32`**: when `Σ|w|` of the output channel
-//!   (computed when the weight is prepared) × `max|x|` over the input
-//!   group (computed per call) is at most `i32::MAX`, every partial sum
-//!   of every element of the row is bounded by it, so the per-MAC clamp
-//!   provably never engages and plain `i32` multiply-adds (which the
-//!   compiler vectorizes, and which may be regrouped) give the same
-//!   result;
+//! * **unclamped**: when `Σ|w|` of each output channel (computed when the
+//!   weight is prepared) × `max|x|` over the input group (computed per
+//!   call) is at most `i32::MAX`, every partial sum of every element of
+//!   the row is bounded by it, so the per-MAC clamp provably never
+//!   engages and plain `i32` multiply-adds (which the compiler
+//!   vectorizes, and which may be regrouped) give the same result.
+//!   `im2col-gemm` additionally needs the input group to fit `i16` (the
+//!   patch block holds `i16`); it then runs the GEMM's narrow tile, with
+//!   weight rows standing in for activation rows and patch-block columns
+//!   for the panel. Weights are stored once at the narrowest width that
+//!   holds them, so the `i16 × i16` products are exact in `i32`;
 //! * **clamped `i64`**: otherwise, the reference chain itself, in
-//!   ascending order.
+//!   ascending order, read directly from the input (no patch block).
 //!
 //! Every epilogue is a pure function of the finished accumulator and its
 //! output channel — exactly what the interpreter's separate
@@ -59,23 +65,25 @@
 //! re-walking the weight per inference would defeat the point of the
 //! fused path. A corrupted structure panics on an out-of-bounds index
 //! (this crate forbids `unsafe`), it cannot read out of bounds.
-//! [`ConvWeight`] keeps its fields private, so its `Σ|w|` bounds always
-//! match its weights.
+//! [`ConvWeight`] keeps its fields private, so its `Σ|w|` bounds and
+//! storage width always match its weights.
 //!
 //! Every kernel here performs **zero heap allocations** when the resolved
 //! worker count is 1: accumulator tiles live on the stack, convolutions
-//! accumulate in the destination, and the im2col patch block lives in
-//! caller-provided scratch.
+//! accumulate in the destination, and the narrowed activations and the
+//! im2col patch block live in caller-provided `i16` scratch.
 
 use crate::ops::{require_rank, Conv2dSpec};
-use crate::packed::{max_abs, packed_tile, PackedMat, MR, PANEL};
+use crate::packed::{gemm_into, max_abs, narrow_tile, saturation_free, Code, Codes, PackedMat, MR};
 use crate::parallel::par_units;
 use crate::sparse::{spmm_rows, SparseMat, SPMM_BLOCK};
 use crate::{Result, Tensor, TensorError};
 
 /// Packed GEMM with fused epilogue: `[rows, w.k]` activations (`x`, row
 /// major) × packed `[w.n, w.k]` weight, writing
-/// `epi(acc[i][j], j)` into `out[i * w.n + j]`.
+/// `epi(acc[i][j], j)` into `out[i * w.n + j]`. The activations are
+/// narrowed into `scratch`, which must hold at least
+/// [`PackedMat::scratch_words`] values.
 ///
 /// Bit-identical to [`crate::packed::matmul_i32_sat_packed`] followed by
 /// an element-wise `epi` pass, at any thread count. Performs no heap
@@ -84,11 +92,12 @@ use crate::{Result, Tensor, TensorError};
 /// # Errors
 ///
 /// Returns an error if `x` or `out` disagree with `rows` and the packed
-/// dimensions.
+/// dimensions, or `scratch` is too short.
 pub fn gemm_fused_into<E>(
     x: &[i32],
     rows: usize,
     w: &PackedMat,
+    scratch: &mut [i16],
     epi: &E,
     out: &mut [i32],
 ) -> Result<()>
@@ -103,28 +112,16 @@ where
             out.len()
         )));
     }
+    if scratch.len() < w.scratch_words(rows) {
+        return Err(TensorError::InvalidArgument(format!(
+            "gemm_fused_into: {} scratch values, the narrowed activations need {}",
+            scratch.len(),
+            w.scratch_words(rows)
+        )));
+    }
     let _t = t2c_obs::Timer::scoped("kernel.gemm_fused.time_ns");
     record_fused("kernel.gemm_fused", rows, k, n);
-    par_units(out, n.max(1), |row0, run| {
-        let mut tile = [0i32; MR * PANEL];
-        let nrows = run.len() / n.max(1);
-        let mut r0 = 0usize;
-        while r0 < nrows {
-            let rblk = MR.min(nrows - r0);
-            for (t, pdata) in w.data.chunks(k * PANEL).enumerate() {
-                let cols = PANEL.min(n - t * PANEL);
-                tile.fill(0);
-                packed_tile(&x[(row0 + r0) * k..], rblk, k, pdata, w.panel_max[t], &mut tile);
-                for r in 0..rblk {
-                    let obase = (r0 + r) * n + t * PANEL;
-                    for (j, ov) in run[obase..obase + cols].iter_mut().enumerate() {
-                        *ov = epi(tile[r * PANEL + j], t * PANEL + j);
-                    }
-                }
-            }
-            r0 += rblk;
-        }
-    });
+    gemm_into(x, rows, w, scratch, epi, out);
     Ok(())
 }
 
@@ -206,10 +203,11 @@ where
 /// sample shape, for the fused convolution kernels
 /// ([`dwconv_fused_into`], [`conv_gemm_fused_into`]).
 ///
-/// Besides the weight rows in their dense `[oc, cg·kh·kw]` flattening it
+/// Besides the weight rows in their dense `[oc, cg·kh·kw]` flattening —
+/// stored once, at the narrowest width that holds them ([`Codes`]) — it
 /// keeps `Σ|w|` per output channel: the compile-time half of the
 /// saturation-free bound (module docs). Fields are private so the bound
-/// always matches the weights.
+/// and the width always match the weights.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvWeight {
     in_chw: [usize; 3],
@@ -219,7 +217,7 @@ pub struct ConvWeight {
     spec: Conv2dSpec,
     oh: usize,
     ow: usize,
-    rows: Vec<i32>,
+    rows: Codes,
     abs_sum: Vec<u64>,
 }
 
@@ -246,10 +244,18 @@ impl ConvWeight {
             return Err(TensorError::InvalidGeometry(format!("empty input plane {h}x{w}")));
         }
         let (oh, ow) = (spec.out_extent(h, kh)?, spec.out_extent(w, kw)?);
-        let rows = weight.as_slice().to_vec();
-        let abs_sum =
-            rows.chunks(cg * kh * kw).map(|r| r.iter().map(|v| u64::from(v.unsigned_abs())).sum());
-        let abs_sum = abs_sum.collect();
+        let vals = weight.as_slice();
+        let abs_sum: Vec<u64> = vals
+            .chunks(cg * kh * kw)
+            .map(|r| r.iter().map(|v| u64::from(v.unsigned_abs())).sum())
+            .collect();
+        // No code exceeds its row's Σ|w|: small sums settle the width
+        // without a separate max pass.
+        let rows = if abs_sum.iter().all(|&s| s <= i16::MAX as u64) {
+            Codes::I16(vals.iter().map(|&v| v as i16).collect())
+        } else {
+            Codes::narrowest(vals)
+        };
         Ok(ConvWeight { in_chw, oc, kh, kw, spec, oh, ow, rows, abs_sum })
     }
 
@@ -259,15 +265,17 @@ impl ConvWeight {
         self.spec.groups == self.in_chw[0] && self.spec.groups == self.oc
     }
 
-    /// Words of im2col scratch [`conv_gemm_fused_into`] needs: one
-    /// (image, group) patch block `[cg·kh·kw, oh·ow]`, or none for a 1×1,
-    /// stride-1, unpadded conv, whose patch block is its input.
+    /// Whether the weight codes are stored as `i16` (every `|w| ≤
+    /// i16::MAX`).
+    pub fn is_narrow(&self) -> bool {
+        self.rows.is_narrow()
+    }
+
+    /// `i16` scratch values [`conv_gemm_fused_into`] needs: one (image,
+    /// group) patch block `[cg·kh·kw, oh·ow]` (for a 1×1, stride-1,
+    /// unpadded conv, the narrowed input block itself).
     pub fn scratch_words(&self) -> usize {
-        if self.im2col_is_identity() {
-            0
-        } else {
-            self.k() * self.l()
-        }
+        self.k() * self.l()
     }
 
     /// Output values per sample (`oc · oh · ow`).
@@ -306,12 +314,6 @@ impl ConvWeight {
     }
 }
 
-/// Whether `Σ|w| · max|x|` keeps every partial sum of an output element
-/// within the `i32` rails, so the per-MAC clamp can never engage.
-fn saturation_free(abs_sum: u64, x_max: u32) -> bool {
-    abs_sum.saturating_mul(u64::from(x_max)) <= i32::MAX as u64
-}
-
 /// One multiply-accumulate: the reference's clamped `i64` step, or the
 /// plain `i32` step when the caller has proven the clamp never engages.
 #[inline(always)]
@@ -347,12 +349,12 @@ fn valid_range(
 /// `oi`, `src_start` the offset in the `[h, w]` plane of the input value
 /// under its first element (later ones follow at the stride).
 #[inline(always)]
-fn for_tap_rows(
+fn for_tap_rows<T>(
     w: &ConvWeight,
     ki: usize,
     kj: usize,
-    plane_out: &mut [i32],
-    mut f: impl FnMut(&mut [i32], usize),
+    plane_out: &mut [T],
+    mut f: impl FnMut(&mut [T], usize),
 ) {
     let [_, h, wd] = w.in_chw;
     let (s, pad) = (w.spec.stride, w.spec.padding);
@@ -382,19 +384,30 @@ fn axpy_strided<const CLAMP: bool>(dst: &mut [i32], wv: i32, src: &[i32], start:
     }
 }
 
-/// One depthwise output plane: taps outermost, so every output element
-/// still sees its reduction index `ki·kw + kj` ascending.
-fn dw_plane<const CLAMP: bool>(w: &ConvWeight, taps: &[i32], xp: &[i32], plane: &mut [i32]) {
-    plane.fill(0);
-    for ki in 0..w.kh {
-        for kj in 0..w.kw {
-            let wv = taps[ki * w.kw + kj];
-            if wv == 0 {
-                continue; // zero product: a saturation no-op
+/// One output row (plane) of a direct convolution, read in place from
+/// the input group `xg` (`cg` planes): reduction index `(ci, ki, kj)`
+/// outermost, so every output element sees it ascending. Zero weights and
+/// padding taps (zero products) are skipped.
+fn direct_row<A: Code, const CLAMP: bool>(
+    w: &ConvWeight,
+    wrow: &[A],
+    xg: &[i32],
+    orow: &mut [i32],
+) {
+    let plane = w.in_chw[1] * w.in_chw[2];
+    let taps = w.kh * w.kw;
+    orow.fill(0);
+    for (xc, wc) in xg.chunks_exact(plane).zip(wrow.chunks_exact(taps)) {
+        for ki in 0..w.kh {
+            for kj in 0..w.kw {
+                let wv: i32 = wc[ki * w.kw + kj].into();
+                if wv == 0 {
+                    continue; // zero product: a saturation no-op
+                }
+                for_tap_rows(w, ki, kj, orow, |dst, start| {
+                    axpy_strided::<CLAMP>(dst, wv, xc, start, w.spec.stride);
+                });
             }
-            for_tap_rows(w, ki, kj, plane, |dst, start| {
-                axpy_strided::<CLAMP>(dst, wv, xp, start, w.spec.stride);
-            });
         }
     }
 }
@@ -424,30 +437,54 @@ where
         )));
     }
     let n = w.batch(x, out, "dwconv_fused_into")?;
+    let _t = t2c_obs::Timer::scoped("kernel.dwconv_fused.time_ns");
+    record_fused("kernel.dwconv_fused", n * w.l(), w.kh * w.kw, w.in_chw[0]);
+    match &w.rows {
+        Codes::I16(rows) => dwconv_run(x, w, rows, epi, out),
+        Codes::I32(rows) => dwconv_run(x, w, rows, epi, out),
+    }
+    Ok(())
+}
+
+fn dwconv_run<A: Code, E>(x: &[i32], w: &ConvWeight, rows: &[A], epi: &E, out: &mut [i32])
+where
+    E: Fn(&mut [i32], usize) + Sync,
+{
     let [c, h, wd] = w.in_chw;
     let (l, taps) = (w.l(), w.kh * w.kw);
-    let _t = t2c_obs::Timer::scoped("kernel.dwconv_fused.time_ns");
-    record_fused("kernel.dwconv_fused", n * l, taps, c);
     // One unit per (image, channel) plane.
     par_units(out, l, |u0, run| {
         for (i, plane) in run.chunks_mut(l).enumerate() {
             let (u, ch) = (u0 + i, (u0 + i) % c);
             let xp = &x[u * h * wd..(u + 1) * h * wd];
-            let tw = &w.rows[ch * taps..(ch + 1) * taps];
-            if saturation_free(w.abs_sum[ch], max_abs(xp)) {
-                dw_plane::<false>(w, tw, xp, plane);
+            let tw = &rows[ch * taps..(ch + 1) * taps];
+            if saturation_free(w.abs_sum[ch], u64::from(max_abs(xp))) {
+                direct_row::<A, false>(w, tw, xp, plane);
             } else {
-                dw_plane::<true>(w, tw, xp, plane);
+                direct_row::<A, true>(w, tw, xp, plane);
             }
             epi(plane, ch);
         }
     });
-    Ok(())
 }
 
-/// Unrolls one (image, group) input block `[cg, h, w]` into the patch
-/// block `[cg·kh·kw, oh·ow]` (zero where the window covers padding).
-fn im2col_group(w: &ConvWeight, xg: &[i32], cols: &mut [i32]) {
+/// Whether every value of `xs` fits `i16`, and `max |x|` — one pass.
+fn narrow_range(xs: &[i32]) -> (bool, u32) {
+    let (lo, hi) = xs.iter().fold((0i32, 0i32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let fits = lo >= i32::from(i16::MIN) && hi <= i32::from(i16::MAX);
+    (fits, lo.unsigned_abs().max(hi.unsigned_abs()))
+}
+
+/// Unrolls one (image, group) input block `[cg, h, w]` into the `i16`
+/// patch block `[cg·kh·kw, oh·ow]` (zero where the window covers
+/// padding). Every input value fits `i16` (the caller checked).
+fn im2col_group(w: &ConvWeight, xg: &[i32], cols: &mut [i16]) {
+    if w.im2col_is_identity() {
+        for (d, &v) in cols.iter_mut().zip(xg) {
+            *d = i16::narrow(v);
+        }
+        return;
+    }
     let [_, h, wd] = w.in_chw;
     let l = w.l();
     if w.spec.padding > 0 {
@@ -458,13 +495,15 @@ fn im2col_group(w: &ConvWeight, xg: &[i32], cols: &mut [i32]) {
             for kj in 0..w.kw {
                 let row = &mut cols[((ci * w.kh + ki) * w.kw + kj) * l..][..l];
                 for_tap_rows(w, ki, kj, row, |dst, start| {
-                    if w.spec.stride == 1 {
-                        dst.copy_from_slice(&xc[start..start + dst.len()]);
+                    let s = w.spec.stride;
+                    if s == 1 {
+                        let len = dst.len();
+                        for (o, &xv) in dst.iter_mut().zip(&xc[start..start + len]) {
+                            *o = i16::narrow(xv);
+                        }
                     } else {
-                        for (o, &xv) in
-                            dst.iter_mut().zip(xc[start..].iter().step_by(w.spec.stride))
-                        {
-                            *o = xv;
+                        for (o, &xv) in dst.iter_mut().zip(xc[start..].iter().step_by(s)) {
+                            *o = i16::narrow(xv);
                         }
                     }
                 });
@@ -473,29 +512,19 @@ fn im2col_group(w: &ConvWeight, xg: &[i32], cols: &mut [i32]) {
     }
 }
 
-/// One output row `[l]` of the weight-stationary product: weight row
-/// `[k]` against patch block `[k, l]`, reduction index ascending.
-fn gemm_row<const CLAMP: bool>(wrow: &[i32], cols: &[i32], orow: &mut [i32]) {
-    let l = orow.len();
-    orow.fill(0);
-    for (p, &wv) in wrow.iter().enumerate() {
-        if wv == 0 {
-            continue; // zero product: a saturation no-op
-        }
-        axpy_strided::<CLAMP>(orow, wv, cols, p * l, 1);
-    }
-}
-
 /// Convolution as im2col + weight-stationary GEMM with fused epilogue:
 /// `[N, C, H, W]` ⊛ `[OC, C/g, KH, KW]` into `out` in `[N, OC, OH, OW]`
 /// order.
 ///
-/// Per (image, group) the input block is unrolled into `scratch` (at
-/// least [`ConvWeight::scratch_words`] long), then each output-channel
-/// row is accumulated as `[k] × [k, oh·ow]` directly into its place in
-/// `out` — the interpreter's orientation — and `epi(row, oc)` rewrites
-/// it in place. Rows may run in parallel; the patch block is shared
-/// read-only.
+/// Per (image, group) the input block is unrolled into the `i16`
+/// `scratch` (at least [`ConvWeight::scratch_words`] long), then each
+/// block of 8 (`MR`) output channels is accumulated as `[MR, k] × [k,
+/// oh·ow]` by the narrow tile directly into its place in `out` — the
+/// interpreter's orientation — and `epi(row, oc)` rewrites each row in
+/// place. Blocks whose bound fails, and every block of an input group
+/// that does not fit `i16` (no patch block is built then), run the
+/// clamped chain directly from the input. Rows may run in parallel; the
+/// patch block is shared read-only.
 ///
 /// Bit-identical to [`crate::ops::conv2d_i32`] followed by an
 /// element-wise `epi` pass, at any thread count. Performs no heap
@@ -508,7 +537,7 @@ fn gemm_row<const CLAMP: bool>(wrow: &[i32], cols: &[i32], orow: &mut [i32]) {
 pub fn conv_gemm_fused_into<E>(
     x: &[i32],
     w: &ConvWeight,
-    scratch: &mut [i32],
+    scratch: &mut [i16],
     epi: &E,
     out: &mut [i32],
 ) -> Result<()>
@@ -518,44 +547,67 @@ where
     let n = w.batch(x, out, "conv_gemm_fused_into")?;
     if scratch.len() < w.scratch_words() {
         return Err(TensorError::InvalidArgument(format!(
-            "conv_gemm_fused_into: {} scratch words, the patch block needs {}",
+            "conv_gemm_fused_into: {} scratch values, the patch block needs {}",
             scratch.len(),
             w.scratch_words()
         )));
     }
+    let _t = t2c_obs::Timer::scoped("kernel.conv_gemm_fused.time_ns");
+    record_fused("kernel.conv_gemm_fused", n * w.l(), w.k(), w.oc);
+    match &w.rows {
+        Codes::I16(rows) => conv_gemm_run(x, n, w, rows, scratch, epi, out),
+        Codes::I32(rows) => conv_gemm_run(x, n, w, rows, scratch, epi, out),
+    }
+    Ok(())
+}
+
+fn conv_gemm_run<A: Code, E>(
+    x: &[i32],
+    n: usize,
+    w: &ConvWeight,
+    rows: &[A],
+    scratch: &mut [i16],
+    epi: &E,
+    out: &mut [i32],
+) where
+    E: Fn(&mut [i32], usize) + Sync,
+{
     let [c, h, wd] = w.in_chw;
     let g = w.spec.groups;
     let (cg, ocg, k, l) = (c / g, w.oc / g, w.k(), w.l());
-    let _t = t2c_obs::Timer::scoped("kernel.conv_gemm_fused.time_ns");
-    record_fused("kernel.conv_gemm_fused", n * l, k, w.oc);
     for img in 0..n {
         for grp in 0..g {
             let xg = &x[(img * c + grp * cg) * h * wd..][..cg * h * wd];
-            let x_max = max_abs(xg);
-            let cols: &[i32] = if w.im2col_is_identity() {
-                xg
-            } else {
-                im2col_group(w, xg, &mut scratch[..k * l]);
-                &scratch[..k * l]
-            };
-            let wg = &w.rows[grp * ocg * k..(grp + 1) * ocg * k];
+            let (fits, x_max) = narrow_range(xg);
+            let cols = &mut scratch[..k * l];
+            if fits {
+                im2col_group(w, xg, cols);
+            }
+            let cols = &*cols;
+            let wg = &rows[grp * ocg * k..(grp + 1) * ocg * k];
             let sums = &w.abs_sum[grp * ocg..(grp + 1) * ocg];
             let unit = &mut out[(img * w.oc + grp * ocg) * l..][..ocg * l];
             par_units(unit, l, |r0, run| {
-                for (r, orow) in run.chunks_mut(l).enumerate() {
-                    let o = r0 + r;
-                    let wrow = &wg[o * k..(o + 1) * k];
-                    if saturation_free(sums[o], x_max) {
-                        gemm_row::<false>(wrow, cols, orow);
+                for (b, blk) in run.chunks_mut(MR * l).enumerate() {
+                    let (o0, rb) = (r0 + b * MR, blk.len() / l);
+                    let widest = sums[o0..o0 + rb].iter().copied().max().unwrap_or(0);
+                    if fits && saturation_free(widest, u64::from(x_max)) {
+                        narrow_tile(&wg[o0 * k..], k, rb, k, cols, l, l, |r, j0, acc| {
+                            blk[r * l + j0..r * l + j0 + acc.len()].copy_from_slice(acc);
+                        });
                     } else {
-                        gemm_row::<true>(wrow, cols, orow);
+                        for (r, orow) in blk.chunks_mut(l).enumerate() {
+                            let wrow = &wg[(o0 + r) * k..(o0 + r + 1) * k];
+                            direct_row::<A, true>(w, wrow, xg, orow);
+                        }
                     }
-                    epi(orow, grp * ocg + o);
+                    for (r, orow) in blk.chunks_mut(l).enumerate() {
+                        epi(orow, grp * ocg + o0 + r);
+                    }
                 }
             });
         }
     }
-    Ok(())
 }
 
 /// Records call/MAC counters for a fused product. One branch when
@@ -607,7 +659,9 @@ mod tests {
             for threads in [1, 2, 4] {
                 let mut out = vec![0i32; m * n];
                 with_threads(threads, || {
-                    gemm_fused_into(x.as_slice(), m, &packed, &epi, &mut out).unwrap();
+                    let mut scratch = vec![0i16; packed.scratch_words(m)];
+                    gemm_fused_into(x.as_slice(), m, &packed, &mut scratch, &epi, &mut out)
+                        .unwrap();
                 });
                 assert_eq!(out, expect, "m={m} k={k} n={n} threads={threads}");
             }
@@ -638,7 +692,8 @@ mod tests {
         for threads in [1, 4] {
             let mut out = vec![0i32; 4 * 70];
             with_threads(threads, || {
-                gemm_fused_into(x.as_slice(), 4, &packed, &epi, &mut out).unwrap();
+                let mut scratch = vec![0i16; packed.scratch_words(4)];
+                gemm_fused_into(x.as_slice(), 4, &packed, &mut scratch, &epi, &mut out).unwrap();
             });
             assert_eq!(out, expect, "threads={threads}");
         }
@@ -694,7 +749,7 @@ mod tests {
             assert_eq!(cw.out_len() * xd[0], expect.len());
             for threads in [1, 3] {
                 let mut out = vec![0i32; expect.len()];
-                let mut scratch = vec![0i32; cw.scratch_words()];
+                let mut scratch = vec![0i16; cw.scratch_words()];
                 with_threads(threads, || {
                     if cw.is_depthwise() {
                         dwconv_fused_into(x.as_slice(), &cw, &row_epi, &mut out).unwrap();
@@ -719,7 +774,7 @@ mod tests {
         let cw = ConvWeight::new(&w, spec, [2, 6, 6]).unwrap();
         let x = vec![0i32; 2 * 36];
         let mut out = vec![0i32; cw.out_len()];
-        let mut scratch = vec![0i32; cw.scratch_words()];
+        let mut scratch = vec![0i16; cw.scratch_words()];
         assert!(dwconv_fused_into(&x, &cw, &|_, _| (), &mut out).is_err(), "not depthwise");
         assert!(conv_gemm_fused_into(&x[1..], &cw, &mut scratch, &|_, _| (), &mut out).is_err());
         assert!(conv_gemm_fused_into(&x, &cw, &mut scratch[1..], &|_, _| (), &mut out).is_err());
@@ -731,10 +786,17 @@ mod tests {
         let w = pseudo_i(&[8, 5], 1, 10);
         let packed = PackedMat::from_weight(&w).unwrap();
         let mut out = vec![0i32; 16];
+        let mut scratch = [0i16; 10];
         // Activation length disagrees with rows * k.
-        assert!(gemm_fused_into(&[0i32; 9], 2, &packed, &|a, _| a, &mut out).is_err());
+        assert!(gemm_fused_into(&[0i32; 9], 2, &packed, &mut scratch, &|a, _| a, &mut out).is_err());
         // Output length disagrees with rows * n.
-        assert!(gemm_fused_into(&[0i32; 10], 2, &packed, &|a, _| a, &mut [0i32; 3]).is_err());
+        let short_out = &mut [0i32; 3];
+        assert!(
+            gemm_fused_into(&[0i32; 10], 2, &packed, &mut scratch, &|a, _| a, short_out).is_err()
+        );
+        // Scratch too short for the narrowed activations.
+        let short = &mut scratch[..9];
+        assert!(gemm_fused_into(&[0i32; 10], 2, &packed, short, &|a, _| a, &mut out).is_err());
 
         let sp = SparseMat::from_dense(&w).unwrap();
         let cols = sp.col_indices();

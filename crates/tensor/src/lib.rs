@@ -47,7 +47,7 @@ pub use error::TensorError;
 pub use fused::{
     conv_gemm_fused_into, dwconv_fused_into, gemm_fused_into, spmm_fused_into, ConvWeight,
 };
-pub use packed::{matmul_i32_sat_packed, PackedMat};
+pub use packed::{matmul_i32_sat_packed, Codes, PackedMat};
 pub use parallel::{num_threads, set_num_threads, with_threads};
 pub use shape::Shape;
 pub use sparse::{matmul_sparse_i, SparseEncoding, SparseError, SparseMat};

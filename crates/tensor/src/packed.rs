@@ -1,4 +1,4 @@
-//! Panel-packed integer weights and the cache-blocked saturating matmul.
+//! Panel-packed integer weights and the register-tiled saturating matmul.
 //!
 //! The serving hot path multiplies a fixed weight matrix against a stream
 //! of small activation batches. [`PackedMat`] pre-transforms such a weight
@@ -25,54 +25,141 @@
 //! ```
 //!
 //! Within a panel the `k` axis is outermost, so the kernel's inner loop
-//! walks `PANEL` consecutive values (one cache line pair) and advancing the
-//! reduction index `p` is a sequential read. Output channels past `n` in
-//! the last panel are zero-filled; [`PackedMat::validate`] enforces that,
-//! and the kernel never copies those columns out.
+//! walks `PANEL` consecutive values and advancing the reduction index `p`
+//! is a sequential read. Output channels past `n` in the last panel are
+//! zero-filled; [`PackedMat::validate`] enforces that, and the kernel
+//! neither computes nor copies out those columns.
+//!
+//! The codes are stored **once**, at the narrowest width that holds them
+//! ([`Codes`]): `i16` when every `|w| ≤ i16::MAX` (every ≤ 8-bit
+//! quantized weight), `i32` otherwise.
 //!
 //! # Bit-identity with the naive kernel
 //!
 //! [`matmul_i32_sat_packed`] is bit-identical to `Tensor::matmul_i`
-//! against the unpacked transposed weight, by the same argument PR 6's
-//! sparse kernel used: the dense kernel clamps the i64 accumulator back
-//! into `i32` range after **every** MAC, so the running accumulator is
-//! always an exact `i32` and any MAC whose product is zero is a no-op
-//! (`clamp(acc + 0) == acc`). The packed kernel tiles over output rows and
-//! panels — which only changes *which* output element is worked on next —
-//! but for any fixed output element `(i, j)` it still visits the reduction
-//! index `p = 0..k` strictly ascending and applies the same clamp after
-//! each MAC. Skipped zero activations contribute only zero products. The
-//! per-element sequence of effective accumulator updates is therefore
-//! identical, tiles are disjoint [`crate::parallel`] units owned by exactly
-//! one worker, and results are bit-identical at any thread count.
+//! against the unpacked transposed weight. The dense kernel clamps the
+//! `i64` accumulator back into `i32` range after **every** MAC, in
+//! ascending reduction order, so the running accumulator is always an
+//! exact `i32` and a zero product is a no-op (`clamp(acc + 0) == acc`).
+//! Each (block of up to 8 (`MR`) activation rows, panel) pair takes one of
+//! two chains:
 //!
-//! The packed kernel additionally carries a **saturation-free fast path**:
-//! each panel stores `max |w|` over its entries, and for an activation row
-//! with absolute sum `S = Σ_p |a_p|`, every partial sum of every output
-//! element in that (row, panel) pair is bounded by `S · max|w|`. When that
-//! bound stays within the `i32` rails, the per-MAC clamp provably never
-//! engages — `clamp(x) == x` at every step of the chain — so the chain
-//! collapses to plain `i32` multiply-adds (which the compiler vectorizes)
-//! and the result is still bit-identical. Quantized serving weights (int8
-//! codes against int8 activations) take this path at every realistic
-//! reduction depth; adversarial full-range inputs fall back to the clamped
-//! scalar chain.
+//! * **narrow**: the rows' activations are narrowed to `i16` once per row
+//!   block, and in the same pass each row's `S = Σ_p |a_p|` is summed. If
+//!   every activation fits `i16` and `S · max|w| ≤ i32::MAX` for every
+//!   row (each panel stores its `max |w|`), every partial sum of every
+//!   output element is bounded by that product, so the per-MAC clamp
+//!   provably never engages: `clamp(x) == x` at every step. Products of
+//!   `i16` operands are exact in `i32`, so plain `i32` multiply-adds —
+//!   which the compiler vectorizes, and which may be regrouped — give the
+//!   clamped chain's result. The tile (`narrow_tile`) is written once,
+//!   generic over operand width, and is also the convolution kernels'
+//!   product (`crate::fused`).
+//! * **clamped**: otherwise (activations past `i16`, or a bound that
+//!   fails), the reference chain itself: `i64` accumulate and clamp after
+//!   each MAC, `p` strictly ascending per output element.
+//!
+//! Tiles are disjoint [`crate::parallel`] units owned by exactly one
+//! worker and the chain choice never changes a result, so results are
+//! bit-identical at any thread count. Quantized serving weights (int8
+//! codes against int8 activations) take the narrow chain at every
+//! realistic reduction depth; adversarial full-range inputs fall back to
+//! the clamped chain.
 
 use crate::ops::require_rank;
-use crate::parallel::par_units;
+use crate::parallel::par_units2;
+use crate::sparse::SparseMat;
 use crate::{Result, Tensor, TensorError};
 
 /// Panel width in output channels; matches the f32 kernel's cache-block
-/// edge so one panel of `i32` weights occupies the same L1 footprint as an
-/// f32 tile.
+/// edge.
 pub const PANEL: usize = crate::ops::BLOCK;
 
 /// Reduction indices per block of the packing transpose.
 const PACK_BLOCK: usize = 8;
 
-/// Output rows accumulated per tile: each panel pass reuses one `PANEL`-wide
-/// weight row across `MR` activation rows before it leaves cache.
+/// Rows per tile: activation rows of a GEMM row block, or weight rows
+/// (output channels) of a convolution. The narrow-or-clamped decision is
+/// made once per block of `MR` rows.
 pub(crate) const MR: usize = 8;
+
+/// An integer operand width the tiles accept: `i16` or `i32`.
+pub(crate) trait Code: Copy + Default + Into<i32> + Send + Sync {
+    /// `v` at this width. Callers have checked that it fits.
+    fn narrow(v: i32) -> Self;
+}
+
+impl Code for i16 {
+    #[inline(always)]
+    fn narrow(v: i32) -> Self {
+        v as i16
+    }
+}
+
+impl Code for i32 {
+    #[inline(always)]
+    fn narrow(v: i32) -> Self {
+        v
+    }
+}
+
+/// Integer weight codes, stored once at the narrowest width that holds
+/// them all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Codes {
+    /// Every code has `|w| ≤ i16::MAX`.
+    I16(Vec<i16>),
+    /// At least one code is wider than `i16`.
+    I32(Vec<i32>),
+}
+
+impl Codes {
+    /// Stores `vals` at the narrowest width that holds them.
+    pub fn narrowest(vals: &[i32]) -> Self {
+        if max_abs(vals) <= NARROW_MAX {
+            Codes::I16(vals.iter().map(|&v| i16::narrow(v)).collect())
+        } else {
+            Codes::I32(vals.to_vec())
+        }
+    }
+
+    /// Number of codes.
+    pub fn len(&self) -> usize {
+        match self {
+            Codes::I16(v) => v.len(),
+            Codes::I32(v) => v.len(),
+        }
+    }
+
+    /// Whether no codes are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Code `i`, widened.
+    pub fn get(&self, i: usize) -> i32 {
+        match self {
+            Codes::I16(v) => i32::from(v[i]),
+            Codes::I32(v) => v[i],
+        }
+    }
+
+    /// Whether the codes are stored as `i16`.
+    pub fn is_narrow(&self) -> bool {
+        matches!(self, Codes::I16(_))
+    }
+
+    /// `max |w|` over the codes in `range`.
+    fn max_abs(&self, range: std::ops::Range<usize>) -> u32 {
+        match self {
+            Codes::I16(v) => max_abs(&v[range]),
+            Codes::I32(v) => max_abs(&v[range]),
+        }
+    }
+}
+
+/// The largest `|w|` stored as `i16`.
+const NARROW_MAX: u32 = i16::MAX as u32;
 
 /// A `[n, k]` integer weight packed into column-panel tiles (see the
 /// module docs for the layout).
@@ -86,19 +173,60 @@ pub struct PackedMat {
     pub n: usize,
     /// Input features (columns of the original weight, the reduction dim).
     pub k: usize,
-    /// `n.div_ceil(PANEL) * k * PANEL` values, panel-major; entries past
-    /// column `n` in the last panel are zero.
-    pub data: Vec<i32>,
-    /// Per-panel `max |w|`, the saturation-free fast-path bound (see the
-    /// module docs). One entry per panel; [`PackedMat::validate`] checks
-    /// each against a recomputation, because an under-reported bound would
-    /// let the unclamped chain overflow.
+    /// `n.div_ceil(PANEL) * k * PANEL` codes, panel-major, at the
+    /// narrowest width that holds them; entries past column `n` in the
+    /// last panel are zero.
+    pub data: Codes,
+    /// Per-panel `max |w|`, the narrow chain's bound (see the module
+    /// docs). One entry per panel; [`PackedMat::validate`] checks each
+    /// against a recomputation, because an under-reported bound would let
+    /// the unclamped chain overflow.
     pub panel_max: Vec<u32>,
+}
+
+/// Transposes `w` (`[n, k]`) into panel-major `data`, narrowing each code
+/// to `T` (the caller has checked that every code fits).
+fn pack_panels<T: Code>(w: &[i32], n: usize, k: usize) -> Vec<T> {
+    let panels = n.div_ceil(PANEL);
+    let mut data = vec![T::default(); panels * k * PANEL];
+    for (t, panel) in data.chunks_exact_mut(k * PANEL).enumerate() {
+        let cols = PANEL.min(n - t * PANEL);
+        // Transposed in blocks of reduction indices, so the panel rows
+        // being written stay cache-resident across the panel's columns.
+        for p0 in (0..k).step_by(PACK_BLOCK) {
+            let p1 = (p0 + PACK_BLOCK).min(k);
+            for j in 0..cols {
+                let wrow = &w[(t * PANEL + j) * k + p0..(t * PANEL + j) * k + p1];
+                for (p, &wv) in (p0..p1).zip(wrow) {
+                    panel[p * PANEL + j] = T::narrow(wv);
+                }
+            }
+        }
+    }
+    data
+}
+
+/// Scatters the stored codes of `w` (dense columns `cols`) into zeroed
+/// panel-major data, narrowing each to `T`.
+fn scatter_panels<T: Code>(w: &SparseMat, cols: &[u32]) -> Vec<T> {
+    let k = w.cols;
+    let mut data = vec![T::default(); w.rows.div_ceil(PANEL) * k * PANEL];
+    for (j, ends) in w.row_ptr.windows(2).enumerate() {
+        let base = j / PANEL * k * PANEL + j % PANEL;
+        let (s0, s1) = (ends[0] as usize, ends[1] as usize);
+        for (&p, &v) in cols[s0..s1].iter().zip(&w.vals[s0..s1]) {
+            if v != 0 {
+                data[base + p as usize * PANEL] = T::narrow(v);
+            }
+        }
+    }
+    data
 }
 
 impl PackedMat {
     /// Packs a rank-2 `[n, k]` weight tensor (the `IntOp::Linear`
-    /// orientation: one row per output channel).
+    /// orientation: one row per output channel), storing its codes as
+    /// `i16` when every `|w| ≤ i16::MAX` and as `i32` otherwise.
     ///
     /// # Errors
     ///
@@ -111,26 +239,53 @@ impl PackedMat {
                 "cannot pack a degenerate [{n}, {k}] weight"
             )));
         }
-        let panels = n.div_ceil(PANEL);
         let w = weight.as_slice();
-        let mut data = vec![0i32; panels * k * PANEL];
-        for t in 0..panels {
-            let cols = PANEL.min(n - t * PANEL);
-            let panel = &mut data[t * k * PANEL..(t + 1) * k * PANEL];
-            // Transposed in blocks of reduction indices, so the panel rows
-            // being written stay cache-resident across the panel's columns.
-            for p0 in (0..k).step_by(PACK_BLOCK) {
-                let p1 = (p0 + PACK_BLOCK).min(k);
-                for j in 0..cols {
-                    let wrow = &w[(t * PANEL + j) * k + p0..(t * PANEL + j) * k + p1];
-                    for (p, &wv) in (p0..p1).zip(wrow) {
-                        panel[p * PANEL + j] = wv;
-                    }
-                }
-            }
-        }
-        let panel_max = data.chunks(k * PANEL).map(max_abs).collect();
+        // Panel t holds output channels t·P..(t+1)·P: contiguous rows of
+        // the dense weight, so its bound is read straight off them.
+        let panel_max: Vec<u32> = w.chunks(PANEL * k).map(max_abs).collect();
+        let data = if panel_max.iter().all(|&m| m <= NARROW_MAX) {
+            Codes::I16(pack_panels(w, n, k))
+        } else {
+            Codes::I32(pack_panels(w, n, k))
+        };
         Ok(PackedMat { n, k, data, panel_max })
+    }
+
+    /// Packs the dense equivalent of a sparse `[rows, cols]` weight
+    /// without materializing it: stored codes are scattered straight into
+    /// zeroed panels (zero slots, such as N:M padding, are left out), at
+    /// the narrowest width that holds them.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the weight has a zero dimension. The structure
+    /// itself is trusted: call [`SparseMat::validate`] first.
+    pub fn from_sparse(w: &SparseMat) -> Result<Self> {
+        let (n, k) = (w.rows, w.cols);
+        if n == 0 || k == 0 {
+            return Err(TensorError::InvalidArgument(format!(
+                "cannot pack a degenerate [{n}, {k}] weight"
+            )));
+        }
+        let mut panel_max = vec![0u32; n.div_ceil(PANEL)];
+        for (j, ends) in w.row_ptr.windows(2).enumerate() {
+            let m = max_abs(&w.vals[ends[0] as usize..ends[1] as usize]);
+            panel_max[j / PANEL] = panel_max[j / PANEL].max(m);
+        }
+        let cols = w.col_indices();
+        let data = if panel_max.iter().all(|&m| m <= NARROW_MAX) {
+            Codes::I16(scatter_panels(w, &cols))
+        } else {
+            Codes::I32(scatter_panels(w, &cols))
+        };
+        Ok(PackedMat { n, k, data, panel_max })
+    }
+
+    /// `i16` scratch values a product over `rows` activation rows needs
+    /// (`crate::fused::gemm_fused_into`): one narrowed copy of the
+    /// activations.
+    pub fn scratch_words(&self, rows: usize) -> usize {
+        rows * self.k
     }
 
     /// Number of column panels.
@@ -149,7 +304,11 @@ impl PackedMat {
     /// past column `n` can simply be subtracted out.
     pub fn count_zeros(&self) -> usize {
         let structural = self.panels() * self.k * PANEL - self.logical_numel();
-        self.data.iter().filter(|&&v| v == 0).count() - structural
+        let zeros = match &self.data {
+            Codes::I16(d) => d.iter().filter(|&&v| v == 0).count(),
+            Codes::I32(d) => d.iter().filter(|&&v| v == 0).count(),
+        };
+        zeros - structural
     }
 
     /// Reconstructs the dense `[n, k]` weight, dropping the panel padding.
@@ -161,12 +320,11 @@ impl PackedMat {
         self.validate()?;
         let (n, k) = (self.n, self.k);
         let mut out = vec![0i32; n * k];
-        for (t, panel) in self.data.chunks(k * PANEL).enumerate() {
-            let cols = PANEL.min(n - t * PANEL);
-            for j in 0..cols {
-                let row = &mut out[(t * PANEL + j) * k..(t * PANEL + j + 1) * k];
+        for (t, chans) in out.chunks_mut(PANEL * k).enumerate() {
+            let base = t * k * PANEL;
+            for (j, row) in chans.chunks_exact_mut(k).enumerate() {
                 for (p, rv) in row.iter_mut().enumerate() {
-                    *rv = panel[p * PANEL + j];
+                    *rv = self.data.get(base + p * PANEL + j);
                 }
             }
         }
@@ -174,138 +332,256 @@ impl PackedMat {
     }
 
     /// Checks the structural invariants: non-degenerate dimensions, the
-    /// exact panel-padded length, and zero fill past column `n` in the
-    /// last panel.
+    /// exact panel-padded length, zero fill past column `n` in the last
+    /// panel, per-panel bounds that match the entries, and the storage
+    /// width: `i16` storage only when every `|w| ≤ i16::MAX`, `i32`
+    /// storage only when some code needs it (each weight is stored once,
+    /// at its narrowest width).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] naming the first violated
     /// invariant.
     pub fn validate(&self) -> Result<()> {
-        if self.n == 0 || self.k == 0 {
-            return Err(TensorError::InvalidArgument(format!(
-                "packed weight has degenerate shape [{}, {}]",
-                self.n, self.k
-            )));
+        let (n, k) = (self.n, self.k);
+        let bad = |what: String| -> Result<()> {
+            Err(TensorError::InvalidArgument(format!("packed weight [{n}, {k}] {what}")))
+        };
+        if n == 0 || k == 0 {
+            return bad("has a degenerate shape".into());
         }
-        let expect = self.panels() * self.k * PANEL;
+        let expect = self.panels() * k * PANEL;
         if self.data.len() != expect {
-            return Err(TensorError::InvalidArgument(format!(
-                "packed weight [{}, {}] stores {} values, expected {expect}",
-                self.n,
-                self.k,
-                self.data.len()
-            )));
+            return bad(format!("stores {} values, expected {expect}", self.data.len()));
         }
-        let tail = (self.panels() - 1) * self.k * PANEL;
-        let cols = self.n - (self.panels() - 1) * PANEL;
-        for p in 0..self.k {
+        let tail = (self.panels() - 1) * k * PANEL;
+        let cols = n - (self.panels() - 1) * PANEL;
+        for p in 0..k {
             for j in cols..PANEL {
-                if self.data[tail + p * PANEL + j] != 0 {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "packed weight [{}, {}] has non-zero padding at panel entry ({p}, {j})",
-                        self.n, self.k
-                    )));
+                if self.data.get(tail + p * PANEL + j) != 0 {
+                    return bad(format!("has non-zero padding at panel entry ({p}, {j})"));
                 }
             }
         }
         if self.panel_max.len() != self.panels() {
-            return Err(TensorError::InvalidArgument(format!(
-                "packed weight [{}, {}] stores {} panel bounds for {} panels",
-                self.n,
-                self.k,
+            return bad(format!(
+                "stores {} panel bounds for {} panels",
                 self.panel_max.len(),
                 self.panels()
-            )));
+            ));
         }
-        for (t, panel) in self.data.chunks(self.k * PANEL).enumerate() {
-            if self.panel_max[t] != max_abs(panel) {
-                return Err(TensorError::InvalidArgument(format!(
-                    "packed weight [{}, {}] panel {t} bound {} disagrees with its entries",
-                    self.n, self.k, self.panel_max[t]
-                )));
+        for (t, &m) in self.panel_max.iter().enumerate() {
+            if m != self.data.max_abs(t * k * PANEL..(t + 1) * k * PANEL) {
+                return bad(format!("panel {t} bound {m} disagrees with its entries"));
             }
+        }
+        let widest = self.panel_max.iter().copied().max().unwrap_or(0);
+        if self.data.is_narrow() == (widest > NARROW_MAX) {
+            return bad(format!(
+                "stores codes up to |{widest}| as {}, not at the narrowest width",
+                if self.data.is_narrow() { "i16" } else { "i32" }
+            ));
         }
         Ok(())
     }
 }
 
 /// `max |v|` over a slice (`i32::MIN`-safe via `unsigned_abs`).
-pub(crate) fn max_abs(vals: &[i32]) -> u32 {
-    vals.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0)
+pub(crate) fn max_abs<T: Code>(vals: &[T]) -> u32 {
+    vals.iter().map(|&v| v.into().unsigned_abs()).max().unwrap_or(0)
 }
 
-/// Records call/MAC/byte counters for a packed product. One branch when
-/// profiling is disabled.
-fn record_packed(op: &str, m: usize, k: usize, n: usize) {
+/// Whether a row with `Σ|a| = abs_sum` against codes with `max |w| =
+/// max` keeps every partial sum within the `i32` rails.
+pub(crate) fn saturation_free(abs_sum: u64, max: u64) -> bool {
+    abs_sum.saturating_mul(max) <= i32::MAX as u64
+}
+
+/// Records call/MAC/byte counters for a packed product whose weight codes
+/// take `wbytes` bytes each. One branch when profiling is disabled.
+fn record_packed(op: &str, m: usize, k: usize, n: usize, wbytes: usize) {
     if t2c_obs::enabled() {
-        let (m, k, n) = (m as u64, k as u64, n as u64);
+        let (m, k, n, wb) = (m as u64, k as u64, n as u64, wbytes as u64);
         t2c_obs::counter_add(&format!("{op}.calls"), 1);
         t2c_obs::counter_add(&format!("{op}.macs"), m * k * n);
         t2c_obs::counter_add(&format!("{op}.elements"), m * n);
-        t2c_obs::counter_add(&format!("{op}.bytes"), (m * k + k * n + m * n) * 4);
+        t2c_obs::counter_add(&format!("{op}.bytes"), (m * k + m * n) * 4 + k * n * wb);
     }
 }
 
-/// Accumulates a `rows × PANEL` output tile against one weight panel.
+/// The narrow chain: for each of `rows` rows of `a` (`k` codes each, row
+/// stride `lda`), the `cols` products against `b` (`k` rows of at least
+/// `cols` codes, row stride `ldb`), handed out as `emit(row, j0, acc)`
+/// for the columns `j0..j0 + acc.len()`.
 ///
-/// `a` holds at least `rows` activation rows of length `k`; `pdata` is one
-/// `[k × PANEL]` panel with `pmax = max |w|` over its entries; `tile` is
-/// the `MR × PANEL` accumulator (rows past `rows` are left untouched). For
-/// every output element the reduction index `p` ascends and the
-/// accumulator is clamped after each MAC — the bit-identity contract from
-/// the module docs. When every row's `Σ|a| · pmax` bound proves the clamp
-/// can never engage, the tile runs the unclamped vectorizable chain
-/// instead (same results, module docs).
-pub(crate) fn packed_tile(
+/// Columns go in power-of-two chunks of at most [`PANEL`], widest first,
+/// so a width that is not a multiple of the panel (a 4×4 or 5×5 output
+/// plane, a 10-channel head) pays for no padding columns. Each chunk is
+/// a fixed-width array the compiler keeps in vector registers.
+///
+/// The caller guarantees that every partial sum stays within the `i32`
+/// rails (the module docs' bound); the products are then exact and the
+/// result equals the clamped chain's.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn narrow_tile<A: Code, B: Code>(
+    a: &[A],
+    lda: usize,
+    rows: usize,
+    k: usize,
+    b: &[B],
+    ldb: usize,
+    cols: usize,
+    mut emit: impl FnMut(usize, usize, &[i32]),
+) {
+    let mut j0 = 0;
+    while j0 < cols {
+        let w = 1usize << (cols - j0).min(PANEL).ilog2();
+        let (bj, mut e) = (&b[j0..], |r: usize, acc: &[i32]| emit(r, j0, acc));
+        match w {
+            64 => tile::<A, B, 64>(a, lda, rows, k, bj, ldb, &mut e),
+            32 => tile::<A, B, 32>(a, lda, rows, k, bj, ldb, &mut e),
+            16 => tile::<A, B, 16>(a, lda, rows, k, bj, ldb, &mut e),
+            8 => tile::<A, B, 8>(a, lda, rows, k, bj, ldb, &mut e),
+            4 => tile::<A, B, 4>(a, lda, rows, k, bj, ldb, &mut e),
+            2 => tile::<A, B, 2>(a, lda, rows, k, bj, ldb, &mut e),
+            _ => tile::<A, B, 1>(a, lda, rows, k, bj, ldb, &mut e),
+        }
+        j0 += w;
+    }
+}
+
+/// One `rows × W` chunk of [`narrow_tile`]: each row's `W` accumulators
+/// stay in registers across the whole reduction. Zero codes of `a` are
+/// skipped (a zero product changes nothing).
+#[inline(always)]
+fn tile<A: Code, B: Code, const W: usize>(
+    a: &[A],
+    lda: usize,
+    rows: usize,
+    k: usize,
+    b: &[B],
+    ldb: usize,
+    emit: &mut impl FnMut(usize, &[i32]),
+) {
+    for r in 0..rows {
+        let mut acc = [0i32; W];
+        for (p, &av) in a[r * lda..r * lda + k].iter().enumerate() {
+            let av: i32 = av.into();
+            if av == 0 {
+                continue;
+            }
+            let brow: &[B; W] = b[p * ldb..p * ldb + W].try_into().expect("W columns");
+            for (o, &bv) in acc.iter_mut().zip(brow) {
+                *o += av * bv.into();
+            }
+        }
+        emit(r, &acc);
+    }
+}
+
+/// The clamped reference chain for `rows` activation rows `a` (`k` each)
+/// against the first `cols` columns of one `[k × PANEL]` panel: `i64`
+/// accumulate and clamp after every MAC, `p` ascending per element.
+fn clamped_tile<B: Code>(
     a: &[i32],
     rows: usize,
     k: usize,
-    pdata: &[i32],
-    pmax: u32,
-    tile: &mut [i32],
+    panel: &[B],
+    cols: usize,
+    mut emit: impl FnMut(usize, usize, &[i32]),
 ) {
-    debug_assert!(rows <= MR && rows > 0);
-    debug_assert_eq!(pdata.len(), k * PANEL);
-    debug_assert_eq!(tile.len(), MR * PANEL);
-    let saturation_free = (0..rows).all(|r| {
-        let abs_sum: u64 = a[r * k..(r + 1) * k].iter().map(|v| u64::from(v.unsigned_abs())).sum();
-        u128::from(abs_sum) * u128::from(pmax) <= i32::MAX as u128
-    });
-    if saturation_free {
-        // Every partial sum (and every single product) of every output
-        // element in this tile stays within the i32 rails, so the plain
-        // additions below cannot overflow and equal the clamped chain.
-        for p in 0..k {
-            let brow = &pdata[p * PANEL..(p + 1) * PANEL];
-            for r in 0..rows {
-                let av = a[r * k + p];
-                if av == 0 {
-                    continue;
-                }
-                let trow = &mut tile[r * PANEL..(r + 1) * PANEL];
-                for (o, &bv) in trow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-        return;
-    }
-    for p in 0..k {
-        let brow = &pdata[p * PANEL..(p + 1) * PANEL];
-        for r in 0..rows {
-            let av = a[r * k + p] as i64;
+    for r in 0..rows {
+        let mut acc = [0i32; PANEL];
+        for (p, &av) in a[r * k..(r + 1) * k].iter().enumerate() {
             if av == 0 {
-                // Zero product: a saturation no-op, same as the naive kernel.
-                continue;
+                continue; // zero product: a saturation no-op
             }
-            let trow = &mut tile[r * PANEL..(r + 1) * PANEL];
-            for (o, &bv) in trow.iter_mut().zip(brow) {
-                let acc = *o as i64 + av * bv as i64;
-                *o = acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+            let av = i64::from(av);
+            for (o, &bv) in acc.iter_mut().zip(&panel[p * PANEL..p * PANEL + cols]) {
+                let sum = i64::from(*o) + av * i64::from(bv.into());
+                *o = sum.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
             }
         }
+        emit(r, 0, &acc[..cols]);
     }
+}
+
+/// Narrows `x` (rows of `k`) into `dst` and returns whether every value
+/// fit `i16` and the largest row `Σ|a|` — one pass.
+fn narrow_rows(x: &[i32], dst: &mut [i16], k: usize) -> (bool, u64) {
+    let (mut fits, mut widest) = (true, 0u64);
+    for (xr, dr) in x.chunks_exact(k).zip(dst.chunks_exact_mut(k)) {
+        let mut sum = 0u64;
+        for (d, &v) in dr.iter_mut().zip(xr) {
+            *d = i16::narrow(v);
+            fits &= i32::from(*d) == v;
+            sum += u64::from(v.unsigned_abs());
+        }
+        widest = widest.max(sum);
+    }
+    (fits, widest)
+}
+
+/// The packed product with a per-element epilogue: `[rows, w.k]`
+/// activations `x` × `w` → `out[i·n + j] = epi(acc, j)`, narrowing the
+/// activations into `scratch` (at least [`PackedMat::scratch_words`]
+/// long).
+/// Shapes are the caller's to check; the structure is trusted.
+pub(crate) fn gemm_into<E>(
+    x: &[i32],
+    rows: usize,
+    w: &PackedMat,
+    scratch: &mut [i16],
+    epi: &E,
+    out: &mut [i32],
+) where
+    E: Fn(i32, usize) -> i32 + Sync,
+{
+    match &w.data {
+        Codes::I16(d) => gemm_run(x, rows, w, d, scratch, epi, out),
+        Codes::I32(d) => gemm_run(x, rows, w, d, scratch, epi, out),
+    }
+}
+
+fn gemm_run<B: Code, E>(
+    x: &[i32],
+    rows: usize,
+    w: &PackedMat,
+    data: &[B],
+    scratch: &mut [i16],
+    epi: &E,
+    out: &mut [i32],
+) where
+    E: Fn(i32, usize) -> i32 + Sync,
+{
+    let (n, k) = (w.n, w.k);
+    let scratch = &mut scratch[..rows * k];
+    // Workers own disjoint row runs of `out` and of the narrowed copy.
+    par_units2(out, scratch, n, k, |row0, run, narrow| {
+        let nrows = run.len() / n;
+        for r0 in (0..nrows).step_by(MR) {
+            let rblk = MR.min(nrows - r0);
+            let xb = &x[(row0 + r0) * k..(row0 + r0 + rblk) * k];
+            let ab = &mut narrow[r0 * k..(r0 + rblk) * k];
+            let (fits, abs_sum) = narrow_rows(xb, ab, k);
+            let ob = &mut run[r0 * n..(r0 + rblk) * n];
+            for (t, panel) in data.chunks_exact(k * PANEL).enumerate() {
+                let c0 = t * PANEL;
+                let emit = |r: usize, j0: usize, acc: &[i32]| {
+                    let dst = &mut ob[r * n + c0 + j0..r * n + c0 + j0 + acc.len()];
+                    for (j, (o, &v)) in dst.iter_mut().zip(acc).enumerate() {
+                        *o = epi(v, c0 + j0 + j);
+                    }
+                };
+                let cols = PANEL.min(n - c0);
+                if fits && saturation_free(abs_sum, u64::from(w.panel_max[t])) {
+                    narrow_tile(ab, k, rblk, k, panel, PANEL, cols, emit);
+                } else {
+                    clamped_tile(xb, rblk, k, panel, cols, emit);
+                }
+            }
+        }
+    });
 }
 
 /// Packed integer matrix product: `[m, k]` activations × packed `[n, k]`
@@ -314,10 +590,9 @@ pub(crate) fn packed_tile(
 /// `x.matmul_i(&w.unpack()?.transpose()?)` at any thread count (see the
 /// module docs).
 ///
-/// Work is partitioned over `(panel, row-block)` tiles through
-/// [`crate::parallel`]: each tile is one unit of a panel-major scratch
-/// buffer owned by exactly one worker, then gathered into the row-major
-/// result with the panel padding dropped.
+/// Work is partitioned over row runs through [`crate::parallel`], each
+/// owned by exactly one worker; within a run, blocks of 8 (`MR`) rows are
+/// narrowed once and then swept across every panel.
 ///
 /// # Errors
 ///
@@ -336,28 +611,11 @@ pub fn matmul_i32_sat_packed(x: &Tensor<i32>, w: &PackedMat) -> Result<Tensor<i3
     }
     let n = w.n;
     let _t = t2c_obs::Timer::scoped("kernel.matmul_i32_packed.time_ns");
-    record_packed("kernel.matmul_i32_packed", m, k, n);
-    let panels = w.panels();
-    let mb = m.div_ceil(MR);
-    let xs = x.as_slice();
-    let mut tiles = vec![0i32; panels * mb * MR * PANEL];
-    par_units(&mut tiles, MR * PANEL, |u0, run| {
-        for (i, tile) in run.chunks_mut(MR * PANEL).enumerate() {
-            let (t, ib) = ((u0 + i) / mb, (u0 + i) % mb);
-            let i0 = ib * MR;
-            let rows = MR.min(m - i0);
-            let pdata = &w.data[t * k * PANEL..(t + 1) * k * PANEL];
-            packed_tile(&xs[i0 * k..], rows, k, pdata, w.panel_max[t], tile);
-        }
-    });
+    let wbytes = if w.data.is_narrow() { 2 } else { 4 };
+    record_packed("kernel.matmul_i32_packed", m, k, n, wbytes);
+    let mut scratch = vec![0i16; w.scratch_words(m)];
     let mut out = vec![0i32; m * n];
-    for t in 0..panels {
-        let cols = PANEL.min(n - t * PANEL);
-        for (i, orow) in out.chunks_mut(n).enumerate() {
-            let src = (t * mb + i / MR) * MR * PANEL + (i % MR) * PANEL;
-            orow[t * PANEL..t * PANEL + cols].copy_from_slice(&tiles[src..src + cols]);
-        }
-    }
+    gemm_into(x.as_slice(), m, w, &mut scratch, &|acc, _| acc, &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -438,15 +696,34 @@ mod tests {
         let w = pseudo_i(&[65, 4], 3, 100);
         let good = PackedMat::from_weight(&w).unwrap();
 
-        let mut truncated = good.clone();
-        truncated.data.pop();
+        assert!(good.data.is_narrow(), "int8-range codes are stored as i16");
+        let Codes::I16(codes) = &good.data else { unreachable!() };
+        let corrupt = |codes: Vec<i16>| PackedMat { data: Codes::I16(codes), ..good.clone() };
+
+        let mut short = codes.clone();
+        short.pop();
+        let truncated = corrupt(short);
         assert!(truncated.validate().is_err());
 
-        let mut dirty_pad = good.clone();
+        let mut dirty = codes.clone();
         // Panel 1 holds columns 64..128; column 65 is padding for n = 65.
-        let last = dirty_pad.data.len() - 1;
-        dirty_pad.data[last] = 7;
-        assert!(dirty_pad.validate().is_err());
+        *dirty.last_mut().unwrap() = 7;
+        assert!(corrupt(dirty).validate().is_err());
+
+        // An i16 code of -32768 (|w| past i16::MAX) with a bound that
+        // honestly reports it: the storage width itself is invalid.
+        let mut too_wide = corrupt(codes.clone());
+        let Codes::I16(c) = &mut too_wide.data else { unreachable!() };
+        c[0] = i16::MIN;
+        too_wide.panel_max[0] = 32768;
+        assert!(too_wide.validate().is_err());
+
+        // The same codes widened to i32: not the narrowest width.
+        let widened = PackedMat {
+            data: Codes::I32(codes.iter().map(|&v| i32::from(v)).collect()),
+            ..good.clone()
+        };
+        assert!(widened.validate().is_err());
 
         let mut lying_bound = good.clone();
         // An under-reported bound would wrongly license the unclamped
@@ -454,9 +731,38 @@ mod tests {
         lying_bound.panel_max[0] = 0;
         assert!(lying_bound.validate().is_err());
 
-        let degenerate = PackedMat { n: 0, k: 4, data: Vec::new(), panel_max: Vec::new() };
+        let degenerate =
+            PackedMat { n: 0, k: 4, data: Codes::I16(Vec::new()), panel_max: Vec::new() };
         assert!(degenerate.validate().is_err());
         assert!(matmul_i32_sat_packed(&pseudo_i(&[2, 4], 1, 10), &truncated).is_err());
+    }
+
+    #[test]
+    fn sparse_weights_pack_like_their_dense_equivalent() {
+        for (n, k) in [(1, 1), (10, 3), (65, 7), (130, 9)] {
+            let w = Tensor::from_fn(&[n, k], |i| if i % 3 == 0 { (i as i32 % 11) - 5 } else { 0 });
+            let sp = SparseMat::from_dense(&w).unwrap();
+            assert_eq!(PackedMat::from_sparse(&sp).unwrap(), PackedMat::from_weight(&w).unwrap());
+            let nm = SparseMat::from_dense_nm(&w, 2, 4).unwrap();
+            let dense = PackedMat::from_weight(&nm.to_dense()).unwrap();
+            assert_eq!(PackedMat::from_sparse(&nm).unwrap(), dense);
+        }
+        let wide = Tensor::from_fn(&[3, 4], |i| if i == 5 { -40_000 } else { 0 });
+        let packed = PackedMat::from_sparse(&SparseMat::from_dense(&wide).unwrap()).unwrap();
+        assert!(!packed.data.is_narrow());
+        assert_eq!(packed.unpack().unwrap().as_slice(), wide.as_slice());
+    }
+
+    #[test]
+    fn weights_past_i16_are_stored_as_i32() {
+        for (edge, narrow) in [(32767, true), (-32767, true), (-32768, false), (32768, false)] {
+            let w = Tensor::from_fn(&[3, 5], |i| if i == 7 { edge } else { (i as i32 % 5) - 2 });
+            let packed = PackedMat::from_weight(&w).unwrap();
+            assert_eq!(packed.data.is_narrow(), narrow, "edge code {edge}");
+            packed.validate().unwrap();
+            assert_eq!(packed.unpack().unwrap().as_slice(), w.as_slice());
+            assert_eq!(Codes::narrowest(w.as_slice()).is_narrow(), narrow);
+        }
     }
 
     #[test]

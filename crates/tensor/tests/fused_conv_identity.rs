@@ -96,7 +96,7 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let mut out = vec![13i32; expect.len()];
             // Scratch arrives dirty: in a plan it is shared by every conv.
-            let mut scratch = vec![-7i32; cw.scratch_words()];
+            let mut scratch = vec![-7i16; cw.scratch_words()];
             with_threads(threads, || {
                 if cw.is_depthwise() {
                     dwconv_fused_into(x.as_slice(), &cw, &row_epi, &mut out)

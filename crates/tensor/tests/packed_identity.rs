@@ -1,9 +1,12 @@
 //! Bit-identity of the packed GEMM kernel against the naive saturating
-//! kernel. The packed kernel reorders *memory traversal* only — every
-//! output element still accumulates its k products in ascending order
-//! with the per-MAC `i64 → i32` clamp — so the results must match the
-//! dense kernel bit for bit at every shape (including shapes that are not
-//! multiples of the 64-wide panel) and at every thread count.
+//! kernel. Each (row block, panel) runs either the clamped chain — every
+//! output element accumulates its k products in ascending order with the
+//! per-MAC `i64 → i32` clamp — or the narrow `i16` chain, which only runs
+//! where a bound proves the clamp never engages. Either way the results
+//! must match the dense kernel bit for bit at every shape (including
+//! shapes that are not multiples of the 64-wide panel) and at every
+//! thread count. `narrow_edge.rs` probes the chain choice at the `i16`
+//! edge.
 
 use proptest::prelude::*;
 use t2c_tensor::{matmul_i32_sat_packed, with_threads, PackedMat, Tensor};

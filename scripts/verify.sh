@@ -116,7 +116,7 @@ for key in version bench created_unix gate_pace_batch_ns configs model \
     mlp_speedup_b16_vs_b1 pass; do
     grep -q "\"$key\"" "$serve_report" || { echo "missing key '$key' in $serve_report"; exit 1; }
 done
-grep -q '"pass": true' "$serve_report" || { echo "$serve_report did not pass"; exit 1; }
+json_gate "$serve_report" 'r["pass"]' "did not pass"
 
 echo "==> sparse speedup (skip-zero deployment gate)"
 sparse_report=bench_results/sparse_speedup.json
@@ -126,7 +126,7 @@ for key in version bench created_unix configs model layout sparsity \
     nm_speedup pass; do
     grep -q "\"$key\"" "$sparse_report" || { echo "missing key '$key' in $sparse_report"; exit 1; }
 done
-grep -q '"pass": true' "$sparse_report" || { echo "$sparse_report did not pass"; exit 1; }
+json_gate "$sparse_report" 'r["pass"]' "did not pass"
 
 echo "==> gemm pack (plan packed-gemm kernel gate, T2C_THREADS=4)"
 pack_report=bench_results/gemm_pack.json
@@ -135,7 +135,9 @@ for key in version bench created_unix threads shapes dense_ns packed_ns \
     speedup bit_identical gate_speedup pass; do
     grep -q "\"$key\"" "$pack_report" || { echo "missing key '$key' in $pack_report"; exit 1; }
 done
-grep -q '"pass": true' "$pack_report" || { echo "$pack_report did not pass"; exit 1; }
+json_gate "$pack_report" 'len(r["shapes"]) > 0 and all(s["bit_identical"] is True for s in r["shapes"])' \
+    "a shape is not bit-identical"
+json_gate "$pack_report" 'r["pass"]' "did not pass"
 
 echo "==> plan speedup (compiled execution-plan gate, 1 thread)"
 plan_report=bench_results/plan_speedup.json
@@ -164,6 +166,6 @@ for key in version bench created_unix device_paced pace_batch_ns configs \
     kill_lost_requests pass; do
     grep -q "\"$key\"" "$cluster_report" || { echo "missing key '$key' in $cluster_report"; exit 1; }
 done
-grep -q '"pass": true' "$cluster_report" || { echo "$cluster_report did not pass"; exit 1; }
+json_gate "$cluster_report" 'r["pass"]' "did not pass"
 
 echo "verify: all green"

@@ -26,13 +26,16 @@ fn batched(dims: &[usize], batch: usize) -> Vec<usize> {
 }
 
 /// Every variant of the MLP family the toolkit produces: dense, magnitude
-/// pruned and N:M structured.
+/// pruned (densified and skip-zero) and N:M structured.
 fn mlp_family() -> Vec<(String, IntModel, Vec<usize>)> {
     let mut out = Vec::new();
     let (dense, dims) = zoo::tiny_mlp();
     out.push(("mlp-dense".into(), dense, dims));
     let (pruned, dims) = zoo::tiny_mlp_pruned(0.8);
     out.push(("mlp-pruned-0.8".into(), pruned, dims));
+    // Sparse enough to keep the skip-zero kernel (0.8 is densified).
+    let (pruned, dims) = zoo::tiny_mlp_pruned(0.95);
+    out.push(("mlp-pruned-0.95".into(), pruned, dims));
     let (nm, dims) = zoo::tiny_mlp_nm(2, 4);
     out.push(("mlp-nm-2of4".into(), nm, dims));
     out
@@ -169,7 +172,7 @@ fn cnn_plans_need_no_steady_allocations() {
         let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
         assert_eq!(plan.steady_allocs(), 0, "{tag}: every CNN step must run in the arena");
         let kernels: Vec<&str> = plan.kernels().map(|(_, k)| k).collect();
-        assert!(kernels.contains(&"im2col-gemm"), "{tag}: {kernels:?}");
+        assert!(kernels.contains(&"im2col-gemm/i16"), "{tag}: {kernels:?}");
         if tag.starts_with("mobilenet") {
             assert!(kernels.contains(&"dwconv-direct"), "{tag}: {kernels:?}");
         }
@@ -179,8 +182,9 @@ fn cnn_plans_need_no_steady_allocations() {
 #[test]
 fn sparse_layers_pick_their_kernel_by_stored_density() {
     for (tag, (model, dims), want) in [
-        ("mlp-nm24", zoo::tiny_mlp_nm(2, 4), "packed-gemm"),
-        ("mlp-pruned80", zoo::tiny_mlp_pruned(0.8), "spmm"),
+        ("mlp-nm24", zoo::tiny_mlp_nm(2, 4), "packed-gemm/i16"),
+        ("mlp-pruned80", zoo::tiny_mlp_pruned(0.8), "packed-gemm/i16"),
+        ("mlp-pruned95", zoo::tiny_mlp_pruned(0.95), "spmm"),
     ] {
         let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
         let fc1 = model.nodes.iter().position(|n| n.name == "fc1").expect("fc1 node");
@@ -202,6 +206,46 @@ fn static_shapes_match_the_executed_shapes_on_every_zoo_model() {
             let values = model.run_all(&random_input(&bdims, batch as u64)).expect("run_all");
             let executed: Vec<&[usize]> = values.iter().map(Tensor::dims).collect();
             assert_eq!(shapes, executed, "{tag}: static shapes diverge at batch {batch}");
+        }
+    }
+}
+
+#[test]
+fn every_zoo_mac_tile_picks_the_i16_width() {
+    for (tag, builder) in zoo::zoo() {
+        let (model, dims) = builder();
+        let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
+        let kernels: Vec<&str> = plan.kernels().map(|(_, k)| k).collect();
+        let tiles: Vec<&str> = kernels.iter().copied().filter(|k| k.contains("-gemm")).collect();
+        assert!(!tiles.is_empty(), "{tag}: no GEMM-shaped step in {kernels:?}");
+        assert!(
+            tiles.iter().all(|k| k.ends_with("/i16")),
+            "{tag}: zoo weights are <= 8-bit codes, every tile must run on i16: {kernels:?}"
+        );
+    }
+}
+
+#[test]
+fn mlp_and_cnn_plans_run_in_an_arena_sized_at_compile_time() {
+    let mut models = mlp_family();
+    models.extend(cnn_family());
+    for (tag, model, dims) in models {
+        let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
+        assert_eq!(plan.steady_allocs(), 0, "{tag}: every step must run in the arena");
+        for batch in [1usize, 3, 8] {
+            let mut arena = Arena::new();
+            let mut out = Vec::new();
+            let sized = plan.arena_bytes() * batch + plan.scratch_bytes(batch);
+            for seed in 0..3u64 {
+                let x =
+                    rail_codes(&batched(&dims, batch), seed as usize).map(|v| v.clamp(-127, 127));
+                plan.run_quantized_into(&x, &mut arena, &mut out).expect("planned run");
+                assert_eq!(
+                    arena.capacity_bytes(),
+                    sized,
+                    "{tag}: batch {batch} run {seed} grew the arena past its compiled size"
+                );
+            }
         }
     }
 }
