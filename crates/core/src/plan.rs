@@ -28,7 +28,18 @@
 //!    writes its patch block straight to `i16`, with weight rows standing
 //!    in for activation rows. The default x86-64 target has no 32-bit
 //!    vector multiply (SSE2), so `i32 × i32` ran emulated; `i16`
-//!    operands multiply natively.
+//!    operands multiply natively. Per block, at run time, the tile also
+//!    picks its accumulator lane (like the narrow-or-clamped choice, this
+//!    is not a kernel of its own and `kernels()` does not name it): `i32`
+//!    lanes, or — when `g = ⌊i16::MAX / (max|a| · max|w|)⌋ ≥ 3` — `i16`
+//!    lanes summed over runs of `g` reduction steps and flushed into
+//!    `i32` (the grouped chain, bit-identical for the reasons the
+//!    `t2c_tensor::packed` docs give). Low-bit weights take it: the zoo
+//!    MLP's 3-bit codes against its 8-bit activations run fc1 at `g = 85`
+//!    and the head at `g = 64`; 4-bit conv weights against `u8`
+//!    activations at `g ≥ 18`. The zoo's 8-bit CNN and ViT layers take it
+//!    only for blocks whose activations stay within ±86; elsewhere `g ≤
+//!    2` and they keep the `i32` lanes.
 //!    The rules come from measurements on a 2-core Xeon host at one
 //!    thread. The zoo CNNs have 1 (depthwise) to 32 output channels per
 //!    group, so 64-wide packed panels for convs were 50–98% padding: the
@@ -39,11 +50,17 @@
 //!    (traced run of the deployment benchmark's `zoo-plan` workload).
 //!    Per call at batch 1 the MLPs went from 8.7 to 4.4 µs, ResNet from
 //!    192 to 124 µs, ViT from 241 to 154 µs and MobileNet from 149 to
-//!    127 µs. The tile covers output widths that are not a multiple of
-//!    64 in power-of-two column chunks, so ViT's 16-wide patch grid and
-//!    the 10-wide heads compute no padding columns. The sparse crossover
+//!    127 µs. The grouped chain then took the MLP's fc1 at batch 8 from
+//!    40.2 to 19.8 µs (6.5 → 13.2 GMAC/s, the step run alone, best of
+//!    2000 calls) and the MLPs' whole call from 4.6 to 2.5 µs at batch 1
+//!    and from 35.7 to 18.8 µs at batch 8 (traced `zoo-plan`); at batch
+//!    1 MobileNet (135 → 129 µs), ResNet (132 → 126 µs) and ViT (166 →
+//!    158 µs) did not slow. The tile covers output widths that are not a
+//!    multiple of 64 in power-of-two column chunks, so ViT's 16-wide
+//!    patch grid and the 10-wide heads compute no padding columns. The sparse crossover
 //!    is measured in [`DENSIFY_DENSITY`]'s docs; the narrow GEMM moved it
-//!    from 0.25 to 0.125, so the 80%-pruned MLP now runs densified too.
+//!    from 0.25 to 0.125, so the 80%-pruned MLP now runs densified too;
+//!    with low-bit weights the grouped chain moves it further down.
 //! 2. **Fusion.** Each MAC node — which the interpreter runs as up to
 //!    four full-tensor passes (MAC, channel bias, `MulQuant` requant +
 //!    ReLU, optionally a following `GeluLut`) — becomes one fused step.
@@ -78,7 +95,9 @@
 //!   `Σ|a| · max|w|` bound proves the clamp can never engage: every
 //!   partial sum then stays inside the `i32` rails, and products of
 //!   `i16` operands are exact in `i32`, so plain multiply-adds give the
-//!   clamped chain's result (see `t2c_tensor::packed` and
+//!   clamped chain's result. The grouped chain adds `i16` lanes only over
+//!   runs of `g` steps with `g · max|a| · max|w| ≤ i16::MAX`, so no lane
+//!   wraps and every run sum is exact (see `t2c_tensor::packed` and
 //!   `t2c_tensor::fused`). Densifying a sparse weight only adds zero
 //!   products, which change no partial sum.
 //! * Every epilogue stage is the exact per-element scalar the interpreter
@@ -359,25 +378,38 @@ impl Step {
 /// Measured on a `[128, 256]` weight (the zoo MLP's fc1 shape) with
 /// random unstructured masks and int8-range activations, at one thread
 /// on a 2-core Xeon host, through the fused entry points the plan calls
-/// (`i16` packed GEMM vs skip-zero SpMM); each cell is the median of
-/// three runs, each run the median of five best-of-200 timings:
+/// (`i16` packed GEMM vs skip-zero SpMM), with the zoo MLP's 3-bit codes
+/// (`|w| ≤ 3`, which the GEMM runs on the grouped `i16`-lane chain at
+/// `g = 85`) and with 8-bit codes (`|w| ≤ 127`, `i32` lanes). Each cell
+/// is GEMM vs SpMM in µs, each figure the fastest of nine alternating
+/// best-of-200 timings:
 ///
-/// | stored density | batch 1        | batch 8           |
-/// |----------------|----------------|-------------------|
-/// | 0.05           | 3.3 vs 1.5 µs  | 26.0 vs 11.2 µs   |
-/// | 0.07           | 3.3 vs 2.0 µs  | 25.2 vs 15.0 µs   |
-/// | 0.09           | 3.2 vs 2.6 µs  | 26.0 vs 28.6 µs   |
-/// | 0.12           | 4.4 vs 4.7 µs  | 34.8 vs 25.1 µs   |
-/// | 0.14           | 3.6 vs 4.6 µs  | 26.9 vs 29.6 µs   |
-/// | 0.19           | 3.4 vs 5.7 µs  | 26.9 vs 47.2 µs   |
-/// | 0.24           | 3.6 vs 8.5 µs  | 31.7 vs 70.1 µs   |
-/// | 0.47 (2:4)     | 3.8 vs 16.2 µs | 26.1 vs 103.7 µs  |
+/// | stored density | 3-bit, batch 1 | 3-bit, batch 8 | 8-bit, batch 1 | 8-bit, batch 8 |
+/// |------|------------|-------------|------------|-------------|
+/// | 0.02 | 1.9 vs 1.0 | 19.1 vs 8.5 | 4.7 vs 1.1 | 34.6 vs 9.1 |
+/// | 0.03 | 2.4 vs 1.6 | 14.2 vs 10.6 | 4.7 vs 1.6 | 27.1 vs 8.6 |
+/// | 0.04 | 1.6 vs 1.4 | 11.8 vs 10.6 | 3.6 vs 1.5 | 28.1 vs 11.0 |
+/// | 0.05 | 1.6 vs 1.6 | 12.2 vs 12.5 | 3.6 vs 1.6 | 28.1 vs 12.5 |
+/// | 0.06 | 2.1 vs 2.5 | 12.2 vs 14.9 | 4.0 vs 2.4 | 28.2 vs 14.7 |
+/// | 0.07 | 2.1 vs 2.5 | 12.2 vs 16.3 | 3.6 vs 2.1 | 27.1 vs 15.8 |
+/// | 0.09 | 1.8 vs 3.2 | 12.2 vs 21.4 | 3.6 vs 2.8 | 28.2 vs 21.4 |
+/// | 0.12 | 1.6 vs 3.5 | 11.8 vs 27.2 | 3.6 vs 3.6 | 28.2 vs 28.3 |
+/// | 0.14 | 1.9 vs 4.8 | 14.3 vs 32.3 | 4.0 vs 5.0 | 26.2 vs 28.8 |
+/// | 0.19 | 1.5 vs 5.7 | 11.8 vs 47.5 | 3.5 vs 6.0 | 26.2 vs 44.6 |
+/// | 0.24 | 1.5 vs 6.6 | 11.0 vs 52.3 | 3.7 vs 7.8 | 26.3 vs 68.6 |
+/// | 0.47 (2:4) | 1.8 vs 14.8 | 11.4 vs 100.7 | 3.5 vs 13.1 | 25.4 vs 97.5 |
 ///
 /// The packed GEMM's cost does not depend on density; SpMM's grows with
-/// it and crosses the GEMM between 0.09 and 0.14 at both batch sizes.
-/// With the 32-bit GEMM the crossover sat at 0.25; the narrow GEMM moved
-/// it down, so the zoo's 80%-pruned MLP (stored density ≈ 0.2) now runs
-/// densified.
+/// it. With 8-bit codes they cross at about 0.12 at both batch sizes, as
+/// before the grouped chain; with 3-bit codes the GEMM runs about 2.3×
+/// faster and the crossover moves down to about 0.05. One constant cannot
+/// follow both: it stays at the 8-bit crossover, so a low-bit layer with
+/// a stored density in `[0.05, 0.125)` keeps SpMM at up to 2.3× the
+/// densified GEMM's time (moving it to 0.05 would cost 8-bit layers in
+/// that range as much). No zoo layer sits there: the 95%-pruned MLP
+/// (≈ 0.05) is at the low-bit crossover and keeps SpMM, the 80%-pruned
+/// one (≈ 0.2) runs densified. With the 32-bit GEMM the crossover sat at
+/// 0.25.
 pub const DENSIFY_DENSITY: f64 = 0.125;
 
 /// A compiled, shape-specialized execution plan (see the module docs).

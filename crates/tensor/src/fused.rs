@@ -30,10 +30,10 @@
 //! The interpreter's kernels clamp the `i64` accumulator back into `i32`
 //! after **every** MAC, in ascending reduction order; a zero product is a
 //! no-op. The GEMM/SpMM kernels keep that chain for every output element
-//! or take the narrow `i16` chain where it provably gives the same result
-//! (see the `packed`/`sparse` module docs). The convolution kernels visit
-//! each output element's reduction index `(ci, ki, kj)` in ascending
-//! order too, skipping only zero weights and padding taps (zero
+//! or take the narrow or grouped `i16` chain where it provably gives the
+//! same result (see the `packed`/`sparse` module docs). The convolution
+//! kernels visit each output element's reduction index `(ci, ki, kj)` in
+//! ascending order too, skipping only zero weights and padding taps (zero
 //! products). `im2col-gemm` chooses per block of 8 (`MR`)
 //! output channels, and `dwconv-direct` per channel, between two chains:
 //!
@@ -47,7 +47,17 @@
 //!   patch block holds `i16`); it then runs the GEMM's narrow tile, with
 //!   weight rows standing in for activation rows and patch-block columns
 //!   for the panel. Weights are stored once at the narrowest width that
-//!   holds them, so the `i16 × i16` products are exact in `i32`;
+//!   holds them, so the `i16 × i16` products are exact in `i32`. When
+//!   `g = ⌊i16::MAX / (max|w| · max|x|)⌋` — `max|w|` over the block's
+//!   channels (computed when the weight is prepared, beside `Σ|w|`),
+//!   `max|x|` the same per-call value — reaches the tile's measured
+//!   minimum of 3, the tile runs its grouped form: runs of up to `g`
+//!   reduction steps summed in `i16` lanes, each run flushed into `i32`.
+//!   No run's partial sum passes `g · max|w| · max|x| ≤ i16::MAX`, so no
+//!   lane wraps, and the flushed `i32` sums are prefix sums of exact
+//!   products under the same `Σ|w| · max|x|` bound: the result is
+//!   unchanged (`crate::packed` has the full argument). 4-bit weights
+//!   (`max|w| ≤ 7`) against `u8` activations give `g ≥ 18`;
 //! * **clamped `i64`**: otherwise, the reference chain itself, in
 //!   ascending order, read directly from the input (no patch block).
 //!
@@ -74,7 +84,9 @@
 //! im2col patch block live in caller-provided `i16` scratch.
 
 use crate::ops::{require_rank, Conv2dSpec};
-use crate::packed::{gemm_into, max_abs, narrow_tile, saturation_free, Code, Codes, PackedMat, MR};
+use crate::packed::{
+    gemm_into, group_len, max_abs, narrow_tile, saturation_free, Code, Codes, PackedMat, MR,
+};
 use crate::parallel::par_units;
 use crate::sparse::{spmm_rows, SparseMat, SPMM_BLOCK};
 use crate::{Result, Tensor, TensorError};
@@ -205,9 +217,10 @@ where
 ///
 /// Besides the weight rows in their dense `[oc, cg·kh·kw]` flattening —
 /// stored once, at the narrowest width that holds them ([`Codes`]) — it
-/// keeps `Σ|w|` per output channel: the compile-time half of the
-/// saturation-free bound (module docs). Fields are private so the bound
-/// and the width always match the weights.
+/// keeps `Σ|w|` and `max|w|` per output channel: the compile-time halves
+/// of the saturation-free bound and of the grouped chain's group length
+/// (module docs). Fields are private so the bounds and the width always
+/// match the weights.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvWeight {
     in_chw: [usize; 3],
@@ -219,6 +232,7 @@ pub struct ConvWeight {
     ow: usize,
     rows: Codes,
     abs_sum: Vec<u64>,
+    abs_max: Vec<u32>,
 }
 
 impl ConvWeight {
@@ -256,7 +270,8 @@ impl ConvWeight {
         } else {
             Codes::narrowest(vals)
         };
-        Ok(ConvWeight { in_chw, oc, kh, kw, spec, oh, ow, rows, abs_sum })
+        let abs_max = rows.row_max_abs(cg * kh * kw);
+        Ok(ConvWeight { in_chw, oc, kh, kw, spec, oh, ow, rows, abs_sum, abs_max })
     }
 
     /// One input and one output channel per group: the direct kernel's
@@ -519,9 +534,10 @@ fn im2col_group(w: &ConvWeight, xg: &[i32], cols: &mut [i16]) {
 /// Per (image, group) the input block is unrolled into the `i16`
 /// `scratch` (at least [`ConvWeight::scratch_words`] long), then each
 /// block of 8 (`MR`) output channels is accumulated as `[MR, k] × [k,
-/// oh·ow]` by the narrow tile directly into its place in `out` — the
-/// interpreter's orientation — and `epi(row, oc)` rewrites each row in
-/// place. Blocks whose bound fails, and every block of an input group
+/// oh·ow]` by the narrow tile (in its grouped `i16`-lane form where the
+/// block's `max|w| · max|x|` allows) directly into its place in `out` —
+/// the interpreter's orientation — and `epi(row, oc)` rewrites each row
+/// in place. Blocks whose bound fails, and every block of an input group
 /// that does not fit `i16` (no patch block is built then), run the
 /// clamped chain directly from the input. Rows may run in parallel; the
 /// patch block is shared read-only.
@@ -586,15 +602,20 @@ fn conv_gemm_run<A: Code, E>(
             let cols = &*cols;
             let wg = &rows[grp * ocg * k..(grp + 1) * ocg * k];
             let sums = &w.abs_sum[grp * ocg..(grp + 1) * ocg];
+            let maxes = &w.abs_max[grp * ocg..(grp + 1) * ocg];
             let unit = &mut out[(img * w.oc + grp * ocg) * l..][..ocg * l];
             par_units(unit, l, |r0, run| {
                 for (b, blk) in run.chunks_mut(MR * l).enumerate() {
                     let (o0, rb) = (r0 + b * MR, blk.len() / l);
                     let widest = sums[o0..o0 + rb].iter().copied().max().unwrap_or(0);
                     if fits && saturation_free(widest, u64::from(x_max)) {
-                        narrow_tile(&wg[o0 * k..], k, rb, k, cols, l, l, |r, j0, acc| {
+                        let wb = &wg[o0 * k..];
+                        let copy = |r: usize, j0: usize, acc: &[i32]| {
                             blk[r * l + j0..r * l + j0 + acc.len()].copy_from_slice(acc);
-                        });
+                        };
+                        let w_max = maxes[o0..o0 + rb].iter().copied().max().unwrap_or(0);
+                        let g = group_len(x_max, w_max);
+                        narrow_tile(wb, k, rb, k, cols, l, l, g, copy);
                     } else {
                         for (r, orow) in blk.chunks_mut(l).enumerate() {
                             let wrow = &wg[(o0 + r) * k..(o0 + r + 1) * k];

@@ -42,19 +42,32 @@
 //! ascending reduction order, so the running accumulator is always an
 //! exact `i32` and a zero product is a no-op (`clamp(acc + 0) == acc`).
 //! Each (block of up to 8 (`MR`) activation rows, panel) pair takes one of
-//! two chains:
+//! three chains:
 //!
 //! * **narrow**: the rows' activations are narrowed to `i16` once per row
-//!   block, and in the same pass each row's `S = Σ_p |a_p|` is summed. If
-//!   every activation fits `i16` and `S · max|w| ≤ i32::MAX` for every
-//!   row (each panel stores its `max |w|`), every partial sum of every
-//!   output element is bounded by that product, so the per-MAC clamp
-//!   provably never engages: `clamp(x) == x` at every step. Products of
-//!   `i16` operands are exact in `i32`, so plain `i32` multiply-adds —
-//!   which the compiler vectorizes, and which may be regrouped — give the
-//!   clamped chain's result. The tile (`narrow_tile`) is written once,
-//!   generic over operand width, and is also the convolution kernels'
-//!   product (`crate::fused`).
+//!   block, and in the same pass each row's `S = Σ_p |a_p|` and the
+//!   block's `max|a|` are taken. If every activation fits `i16` and `S ·
+//!   max|w| ≤ i32::MAX` for every row (each panel stores its `max |w|`),
+//!   every partial sum of every output element is bounded by that
+//!   product, so the per-MAC clamp provably never engages: `clamp(x) ==
+//!   x` at every step. Products of `i16` operands are exact in `i32`, so
+//!   plain `i32` multiply-adds — which the compiler vectorizes, and which
+//!   may be regrouped — give the clamped chain's result. The tile
+//!   (`narrow_tile`) is written once, generic over operand width and
+//!   accumulator lane, and is also the convolution kernels' product
+//!   (`crate::fused`).
+//! * **grouped**: the narrow chain's conditions hold and, in addition,
+//!   `g = ⌊i16::MAX / (max|a| · max|w|)⌋` reaches `MIN_GROUP`. The same
+//!   tile then sums each run of up to `g` consecutive reduction steps in
+//!   `i16` lanes (8 per SSE2 vector op, no widening shuffle) and flushes
+//!   the run's sums into the `i32` accumulators. Every partial sum inside
+//!   a run is bounded by `g · max|a| · max|w| ≤ i16::MAX`, so no `i16`
+//!   lane wraps and each run's sum is exact; every `i32` partial sum is
+//!   still a prefix sum of exact products, bounded by `S · max|w| ≤
+//!   i32::MAX` as in the narrow chain. So the result again equals the
+//!   clamped chain's. Low-bit weights take it at realistic activation
+//!   widths: the zoo MLP's 3-bit codes (`max|w| = 3`) against `s8`
+//!   activations give `g = 85`.
 //! * **clamped**: otherwise (activations past `i16`, or a bound that
 //!   fails), the reference chain itself: `i64` accumulate and clamp after
 //!   each MAC, `p` strictly ascending per output element.
@@ -63,8 +76,11 @@
 //! worker and the chain choice never changes a result, so results are
 //! bit-identical at any thread count. Quantized serving weights (int8
 //! codes against int8 activations) take the narrow chain at every
-//! realistic reduction depth; adversarial full-range inputs fall back to
-//! the clamped chain.
+//! realistic reduction depth, and the grouped chain where a block's
+//! activations stay below about 86 (`g ≥ 3` against `max|w| = 127`);
+//! adversarial full-range inputs fall back to the clamped chain.
+
+use std::ops::{Add, Mul};
 
 use crate::ops::require_rank;
 use crate::parallel::par_units2;
@@ -147,6 +163,14 @@ impl Codes {
     /// Whether the codes are stored as `i16`.
     pub fn is_narrow(&self) -> bool {
         matches!(self, Codes::I16(_))
+    }
+
+    /// `max |w|` of each row of `len` codes.
+    pub(crate) fn row_max_abs(&self, len: usize) -> Vec<u32> {
+        match self {
+            Codes::I16(v) => v.chunks(len).map(max_abs16).collect(),
+            Codes::I32(v) => v.chunks(len).map(max_abs).collect(),
+        }
     }
 
     /// `max |w|` over the codes in `range`.
@@ -391,6 +415,13 @@ pub(crate) fn max_abs<T: Code>(vals: &[T]) -> u32 {
     vals.iter().map(|&v| v.into().unsigned_abs()).max().unwrap_or(0)
 }
 
+/// `max |v|` over `i16` values, from their extremes: a native vector
+/// min/max even on the baseline SSE2 target, which has no 32-bit one.
+fn max_abs16(vals: &[i16]) -> u32 {
+    let (lo, hi) = vals.iter().fold((0i16, 0i16), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    u32::from(lo.unsigned_abs().max(hi.unsigned_abs()))
+}
+
 /// Whether a row with `Σ|a| = abs_sum` against codes with `max |w| =
 /// max` keeps every partial sum within the `i32` rails.
 pub(crate) fn saturation_free(abs_sum: u64, max: u64) -> bool {
@@ -409,10 +440,79 @@ fn record_packed(op: &str, m: usize, k: usize, n: usize, wbytes: usize) {
     }
 }
 
-/// The narrow chain: for each of `rows` rows of `a` (`k` codes each, row
-/// stride `lda`), the `cols` products against `b` (`k` rows of at least
-/// `cols` codes, row stride `ldb`), handed out as `emit(row, j0, acc)`
-/// for the columns `j0..j0 + acc.len()`.
+/// An accumulator lane of the shared tile: `i32`, or `i16` over groups
+/// of reduction steps short enough that no lane wraps (the module docs'
+/// grouped chain). The lanes use plain `+` and `*`: release builds emit
+/// wrapping vector ops (`pmullw`/`paddw` for `i16`), and a lane that did
+/// wrap would mean a broken bound, which debug builds trap.
+pub(crate) trait Lane:
+    Copy + Default + PartialEq + Add<Output = Self> + Mul<Output = Self> + Into<i32>
+{
+    /// Code `c` in this lane. Callers have checked that it fits.
+    fn of<C: Code>(c: C) -> Self;
+}
+
+impl Lane for i16 {
+    #[inline(always)]
+    fn of<C: Code>(c: C) -> Self {
+        c.into() as i16
+    }
+}
+
+impl Lane for i32 {
+    #[inline(always)]
+    fn of<C: Code>(c: C) -> Self {
+        c.into()
+    }
+}
+
+/// The shortest reduction group for which the grouped chain pays: `i16`
+/// lanes flushed into `i32` every `g < MIN_GROUP` steps do not beat the
+/// `i32` lanes' single pass.
+///
+/// Measured on a 2-core Xeon host (default SSE2 target) at one thread
+/// through [`crate::fused::gemm_fused_into`] on a `[128, 256]` weight
+/// (the zoo MLP's fc1 shape) of ±1 codes, with activations at
+/// `±⌊i16::MAX / g⌋` so that the group is exactly `g` steps long (the
+/// `i32` row uses codes of ±2 against ±32767, `g = 0`). Each cell is the
+/// fastest of five runs, each run the median of three best-of-200
+/// timings. The tile as it was before the grouped chain existed measured
+/// 3.37 and 26.1 µs in the same runs:
+///
+/// | chain          | batch 1 | batch 8 |
+/// |----------------|---------|---------|
+/// | `i32` lanes    | 3.29 µs | 25.4 µs |
+/// | `i16`, `g = 1` | 4.82 µs | 37.7 µs |
+/// | `i16`, `g = 2` | 3.33 µs | 25.9 µs |
+/// | `i16`, `g = 3` | 2.84 µs | 21.2 µs |
+/// | `i16`, `g = 4` | 2.69 µs | 20.7 µs |
+/// | `i16`, `g = 8` | 1.96 µs | 14.2 µs |
+/// | `i16`, `g = 16` | 1.68 µs | 12.5 µs |
+/// | `i16`, `g = 85` (3-bit fc1) | 1.55 µs | 11.0 µs |
+///
+/// `g = 2` is a wash, `g ≥ 3` wins 15–20%, `g ≥ 8` about 1.7× and the
+/// zoo MLP's `g = 85` 2.1–2.3×. It is a constant, not a setting.
+const MIN_GROUP: usize = 3;
+
+/// Reduction steps whose `i16` partial sums stay within `i16::MAX` for
+/// operands bounded by `max_a` and `max_w`: `⌊i16::MAX / (max_a ·
+/// max_w)⌋`, unbounded when either is 0.
+pub(crate) fn group_len(max_a: u32, max_w: u32) -> usize {
+    match u64::from(max_a) * u64::from(max_w) {
+        0 => usize::MAX,
+        prod => (i16::MAX as u64 / prod) as usize,
+    }
+}
+
+/// The shared tile for the narrow and grouped chains: for each of `rows`
+/// rows of `a` (`k` codes each, row stride `lda`), the `cols` products
+/// against `b` (`k` rows of at least `cols` codes, row stride `ldb`),
+/// handed out as `emit(row, j0, acc)` for the columns `j0..j0 +
+/// acc.len()`. `g` is the block's [`group_len`]: when it reaches
+/// [`MIN_GROUP`], each run of up to `g` reduction steps is summed in
+/// `i16` lanes and flushed into the `i32` accumulators (the grouped
+/// chain); otherwise the whole reduction is summed in `i32` lanes (the
+/// narrow chain).
 ///
 /// Columns go in power-of-two chunks of at most [`PANEL`], widest first,
 /// so a width that is not a multiple of the panel (a 4×4 or 5×5 output
@@ -420,8 +520,9 @@ fn record_packed(op: &str, m: usize, k: usize, n: usize, wbytes: usize) {
 /// a fixed-width array the compiler keeps in vector registers.
 ///
 /// The caller guarantees that every partial sum stays within the `i32`
-/// rails (the module docs' bound); the products are then exact and the
-/// result equals the clamped chain's.
+/// rails and that `g · max|a| · max|w| ≤ i16::MAX` (the module docs'
+/// bounds); the products are then exact and the result equals the
+/// clamped chain's.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn narrow_tile<A: Code, B: Code>(
     a: &[A],
@@ -431,6 +532,27 @@ pub(crate) fn narrow_tile<A: Code, B: Code>(
     b: &[B],
     ldb: usize,
     cols: usize,
+    g: usize,
+    emit: impl FnMut(usize, usize, &[i32]),
+) {
+    if g >= MIN_GROUP {
+        columns::<i16, A, B>(a, lda, rows, k, b, ldb, cols, g, emit);
+    } else {
+        columns::<i32, A, B>(a, lda, rows, k, b, ldb, cols, k, emit);
+    }
+}
+
+/// [`narrow_tile`] in lanes of `L`, summed over runs of `g` steps.
+#[allow(clippy::too_many_arguments)]
+fn columns<L: Lane, A: Code, B: Code>(
+    a: &[A],
+    lda: usize,
+    rows: usize,
+    k: usize,
+    b: &[B],
+    ldb: usize,
+    cols: usize,
+    g: usize,
     mut emit: impl FnMut(usize, usize, &[i32]),
 ) {
     let mut j0 = 0;
@@ -438,45 +560,72 @@ pub(crate) fn narrow_tile<A: Code, B: Code>(
         let w = 1usize << (cols - j0).min(PANEL).ilog2();
         let (bj, mut e) = (&b[j0..], |r: usize, acc: &[i32]| emit(r, j0, acc));
         match w {
-            64 => tile::<A, B, 64>(a, lda, rows, k, bj, ldb, &mut e),
-            32 => tile::<A, B, 32>(a, lda, rows, k, bj, ldb, &mut e),
-            16 => tile::<A, B, 16>(a, lda, rows, k, bj, ldb, &mut e),
-            8 => tile::<A, B, 8>(a, lda, rows, k, bj, ldb, &mut e),
-            4 => tile::<A, B, 4>(a, lda, rows, k, bj, ldb, &mut e),
-            2 => tile::<A, B, 2>(a, lda, rows, k, bj, ldb, &mut e),
-            _ => tile::<A, B, 1>(a, lda, rows, k, bj, ldb, &mut e),
+            64 => tile::<L, A, B, 64>(a, lda, rows, k, bj, ldb, g, &mut e),
+            32 => tile::<L, A, B, 32>(a, lda, rows, k, bj, ldb, g, &mut e),
+            16 => tile::<L, A, B, 16>(a, lda, rows, k, bj, ldb, g, &mut e),
+            8 => tile::<L, A, B, 8>(a, lda, rows, k, bj, ldb, g, &mut e),
+            4 => tile::<L, A, B, 4>(a, lda, rows, k, bj, ldb, g, &mut e),
+            2 => tile::<L, A, B, 2>(a, lda, rows, k, bj, ldb, g, &mut e),
+            _ => tile::<L, A, B, 1>(a, lda, rows, k, bj, ldb, g, &mut e),
         }
         j0 += w;
     }
 }
 
-/// One `rows × W` chunk of [`narrow_tile`]: each row's `W` accumulators
-/// stay in registers across the whole reduction. Zero codes of `a` are
-/// skipped (a zero product changes nothing).
+/// One `rows × W` chunk of [`columns`]: each row's `W` accumulators
+/// stay in registers across the whole reduction. A reduction that fits
+/// one group (always, for `i32` lanes) is summed straight into them.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile<A: Code, B: Code, const W: usize>(
+fn tile<L: Lane, A: Code, B: Code, const W: usize>(
     a: &[A],
     lda: usize,
     rows: usize,
     k: usize,
     b: &[B],
     ldb: usize,
+    g: usize,
     emit: &mut impl FnMut(usize, &[i32]),
 ) {
     for r in 0..rows {
-        let mut acc = [0i32; W];
-        for (p, &av) in a[r * lda..r * lda + k].iter().enumerate() {
-            let av: i32 = av.into();
-            if av == 0 {
-                continue;
+        let arow = &a[r * lda..r * lda + k];
+        let acc: [i32; W] = if g >= k {
+            group_sum::<L, A, B, W>(arow, 0, b, ldb).map(Into::into)
+        } else {
+            let mut acc = [0i32; W];
+            for (q, group) in arow.chunks(g).enumerate() {
+                let lanes = group_sum::<L, A, B, W>(group, q * g, b, ldb);
+                for (o, v) in acc.iter_mut().zip(lanes) {
+                    *o += v.into();
+                }
             }
-            let brow: &[B; W] = b[p * ldb..p * ldb + W].try_into().expect("W columns");
-            for (o, &bv) in acc.iter_mut().zip(brow) {
-                *o += av * bv.into();
-            }
-        }
+            acc
+        };
         emit(r, &acc);
     }
+}
+
+/// `Σ_p a[p] · b[p0 + p][..W]` in lanes of `L`. Zero codes of `a` are
+/// skipped (a zero product changes nothing).
+#[inline(always)]
+fn group_sum<L: Lane, A: Code, B: Code, const W: usize>(
+    a: &[A],
+    p0: usize,
+    b: &[B],
+    ldb: usize,
+) -> [L; W] {
+    let mut lanes = [L::default(); W];
+    for (p, &av) in (p0..).zip(a) {
+        let av = L::of(av);
+        if av == L::default() {
+            continue;
+        }
+        let brow: &[B; W] = b[p * ldb..p * ldb + W].try_into().expect("W columns");
+        for (o, &bv) in lanes.iter_mut().zip(brow) {
+            *o = *o + av * L::of(bv);
+        }
+    }
+    lanes
 }
 
 /// The clamped reference chain for `rows` activation rows `a` (`k` each)
@@ -507,19 +656,22 @@ fn clamped_tile<B: Code>(
 }
 
 /// Narrows `x` (rows of `k`) into `dst` and returns whether every value
-/// fit `i16` and the largest row `Σ|a|` — one pass.
-fn narrow_rows(x: &[i32], dst: &mut [i16], k: usize) -> (bool, u64) {
-    let (mut fits, mut widest) = (true, 0u64);
+/// fit `i16`, the largest row `Σ|a|` and, if every value fit, `max|a|` —
+/// one pass. The extremes are taken over the narrowed `i16` values, a
+/// native vector min/max even on the baseline SSE2 target.
+fn narrow_rows(x: &[i32], dst: &mut [i16], k: usize) -> (bool, u64, u32) {
+    let (mut fits, mut widest, mut lo, mut hi) = (true, 0u64, 0i16, 0i16);
     for (xr, dr) in x.chunks_exact(k).zip(dst.chunks_exact_mut(k)) {
         let mut sum = 0u64;
         for (d, &v) in dr.iter_mut().zip(xr) {
             *d = i16::narrow(v);
             fits &= i32::from(*d) == v;
             sum += u64::from(v.unsigned_abs());
+            (lo, hi) = (lo.min(*d), hi.max(*d));
         }
         widest = widest.max(sum);
     }
-    (fits, widest)
+    (fits, widest, u32::from(lo.unsigned_abs().max(hi.unsigned_abs())))
 }
 
 /// The packed product with a per-element epilogue: `[rows, w.k]`
@@ -563,7 +715,7 @@ fn gemm_run<B: Code, E>(
             let rblk = MR.min(nrows - r0);
             let xb = &x[(row0 + r0) * k..(row0 + r0 + rblk) * k];
             let ab = &mut narrow[r0 * k..(r0 + rblk) * k];
-            let (fits, abs_sum) = narrow_rows(xb, ab, k);
+            let (fits, abs_sum, max_a) = narrow_rows(xb, ab, k);
             let ob = &mut run[r0 * n..(r0 + rblk) * n];
             for (t, panel) in data.chunks_exact(k * PANEL).enumerate() {
                 let c0 = t * PANEL;
@@ -573,9 +725,10 @@ fn gemm_run<B: Code, E>(
                         *o = epi(v, c0 + j0 + j);
                     }
                 };
-                let cols = PANEL.min(n - c0);
-                if fits && saturation_free(abs_sum, u64::from(w.panel_max[t])) {
-                    narrow_tile(ab, k, rblk, k, panel, PANEL, cols, emit);
+                let (cols, max_w) = (PANEL.min(n - c0), w.panel_max[t]);
+                if fits && saturation_free(abs_sum, u64::from(max_w)) {
+                    let g = group_len(max_a, max_w);
+                    narrow_tile(ab, k, rblk, k, panel, PANEL, cols, g, emit);
                 } else {
                     clamped_tile(xb, rblk, k, panel, cols, emit);
                 }
@@ -762,6 +915,20 @@ mod tests {
             packed.validate().unwrap();
             assert_eq!(packed.unpack().unwrap().as_slice(), w.as_slice());
             assert_eq!(Codes::narrowest(w.as_slice()).is_narrow(), narrow);
+        }
+    }
+
+    #[test]
+    fn group_len_keeps_every_group_within_i16() {
+        assert_eq!(group_len(0, 127), usize::MAX, "zero activations never wrap");
+        assert_eq!(group_len(128, 0), usize::MAX, "zero weights never wrap");
+        assert_eq!(group_len(128, 3), 85, "3-bit fc1 against s8 activations");
+        assert_eq!(group_len(255, 2), 64, "3-bit head against u8 activations");
+        assert_eq!(group_len(128, 127), 2, "8-bit operands stay below MIN_GROUP");
+        assert_eq!(group_len(32768, 1), 0, "-32768 against 1-bit weights");
+        for (a, w) in [(1, 1), (128, 3), (217, 1), (4681, 7), (32767, 1)] {
+            let (g, prod) = (group_len(a, w) as u64, u64::from(a) * u64::from(w));
+            assert!(g * prod <= i16::MAX as u64 && (g + 1) * prod > i16::MAX as u64);
         }
     }
 

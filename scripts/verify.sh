@@ -58,6 +58,9 @@ cd "$(dirname "$0")/.."
 
 # json_gate REPORT EXPR MESSAGE: parses REPORT as JSON (bound to `r`) and
 # fails the gate with MESSAGE unless the Python expression EXPR is true.
+# Report keys are checked with it too, each at the level it belongs to
+# (top level, or every entry of its list): a grep for `"key"` would match
+# the key at any depth, or inside a string.
 json_gate() {
     python3 - "$1" "$2" <<'PY' || { echo "$1: $3"; exit 1; }
 import json, sys
@@ -84,24 +87,20 @@ cargo fmt --all --check
 echo "==> profile smoke (T2C_PROFILE=1)"
 T2C_PROFILE=1 cargo run --release -q -p t2c-bench --bin profile_smoke
 report=bench_results/profile_smoke.json
-for key in version tag counters gauges histograms series layers dual_path \
-    saturation_rate macs forward_ns; do
-    grep -q "\"$key\"" "$report" || { echo "missing key '$key' in $report"; exit 1; }
-done
+json_gate "$report" '{"version", "tag", "counters", "gauges", "histograms", "series", "layers", "dual_path"} <= r.keys() and len(r["layers"]) > 0 and all({"saturation_rate", "macs", "forward_ns"} <= l.keys() for l in r["layers"])' \
+    "missing a top-level or per-layer key"
 
 echo "==> lint-models (t2c-check)"
 lint_report=bench_results/t2c_check.json
 cargo run --release -q -p t2c-lint --bin t2c-check -- --json "$lint_report"
-for key in version tag summary findings nodes verdict; do
-    grep -q "\"$key\"" "$lint_report" || { echo "missing key '$key' in $lint_report"; exit 1; }
-done
+json_gate "$lint_report" '{"version", "tag", "summary", "findings", "nodes", "verdict"} <= r.keys()' \
+    "missing a top-level key"
 
 echo "==> error-bound certification (t2c-check --error-bound)"
 eb_report=bench_results/error_bound.json
 cargo run --release -q -p t2c-lint --bin t2c-check -- --error-bound "$eb_report"
-for key in version model per_layer end_to_end_steps tolerance pass; do
-    grep -q "\"$key\"" "$eb_report" || { echo "missing key '$key' in $eb_report"; exit 1; }
-done
+json_gate "$eb_report" '{"version", "tolerance", "pass"} <= r.keys() and len(r["models"]) > 0 and all({"model", "per_layer", "end_to_end_steps"} <= m.keys() for m in r["models"])' \
+    "missing a top-level or per-model key"
 json_gate "$eb_report" 'r["pass"]' "top-level verdict is not pass"
 
 echo "==> serve smoke (t2c-serve --smoke, ephemeral port)"
@@ -110,31 +109,22 @@ cargo run --release -q -p t2c-serve --bin t2c-serve -- --smoke
 echo "==> serve loadgen (batching throughput gate)"
 serve_report=bench_results/serve_loadgen.json
 cargo run --release -q -p t2c-bench --bin loadgen
-for key in version bench created_unix gate_pace_batch_ns configs model \
-    max_batch pace_batch_ns concurrency \
-    completed throughput_rps p50_ns p99_ns mean_batch_rows \
-    mlp_speedup_b16_vs_b1 pass; do
-    grep -q "\"$key\"" "$serve_report" || { echo "missing key '$key' in $serve_report"; exit 1; }
-done
+json_gate "$serve_report" '{"version", "bench", "created_unix", "gate_pace_batch_ns", "configs", "mlp_speedup_b16_vs_b1", "pass"} <= r.keys() and len(r["configs"]) > 0 and all({"model", "max_batch", "pace_batch_ns", "concurrency", "completed", "throughput_rps", "p50_ns", "p99_ns", "mean_batch_rows"} <= c.keys() for c in r["configs"])' \
+    "missing a top-level or per-config key"
 json_gate "$serve_report" 'r["pass"]' "did not pass"
 
 echo "==> sparse speedup (skip-zero deployment gate)"
 sparse_report=bench_results/sparse_speedup.json
 cargo run --release -q -p t2c-bench --bin sparse_speedup
-for key in version bench created_unix configs model layout sparsity \
-    dense_ns sparse_ns speedup bit_identical unstructured_speedup \
-    nm_speedup pass; do
-    grep -q "\"$key\"" "$sparse_report" || { echo "missing key '$key' in $sparse_report"; exit 1; }
-done
+json_gate "$sparse_report" '{"version", "bench", "created_unix", "configs", "unstructured_speedup", "nm_speedup", "pass"} <= r.keys() and len(r["configs"]) > 0 and all({"model", "layout", "sparsity", "dense_ns", "sparse_ns", "speedup", "bit_identical"} <= c.keys() for c in r["configs"])' \
+    "missing a top-level or per-config key"
 json_gate "$sparse_report" 'r["pass"]' "did not pass"
 
 echo "==> gemm pack (plan packed-gemm kernel gate, T2C_THREADS=4)"
 pack_report=bench_results/gemm_pack.json
 T2C_THREADS=4 cargo run --release -q -p t2c-bench --bin gemm_pack
-for key in version bench created_unix threads shapes dense_ns packed_ns \
-    speedup bit_identical gate_speedup pass; do
-    grep -q "\"$key\"" "$pack_report" || { echo "missing key '$key' in $pack_report"; exit 1; }
-done
+json_gate "$pack_report" '{"version", "bench", "created_unix", "threads", "shapes", "gate_speedup", "pass"} <= r.keys() and len(r["shapes"]) > 0 and all({"dense_ns", "packed_ns", "speedup", "bit_identical"} <= s.keys() for s in r["shapes"])' \
+    "missing a top-level or per-shape key"
 json_gate "$pack_report" 'len(r["shapes"]) > 0 and all(s["bit_identical"] is True for s in r["shapes"])' \
     "a shape is not bit-identical"
 json_gate "$pack_report" 'r["pass"]' "did not pass"
@@ -142,12 +132,12 @@ json_gate "$pack_report" 'r["pass"]' "did not pass"
 echo "==> plan speedup (compiled execution-plan gate, 1 thread)"
 plan_report=bench_results/plan_speedup.json
 cargo run --release -q -p t2c-bench --bin plan_speedup
-for key in version bench created_unix threads steady_iters cells model batch \
-    unplanned_ns planned_ns speedup bit_identical models steady_allocs \
-    allocs_gated arena_bytes scratch_bytes fused_nodes kernels min_speedup \
-    floor gate_speedup gate_speedup_mlp pass; do
-    grep -q "\"$key\"" "$plan_report" || { echo "missing key '$key' in $plan_report"; exit 1; }
-done
+json_gate "$plan_report" '{"version", "bench", "created_unix", "threads", "steady_iters", "cells", "models", "min_speedup", "bit_identical", "gate_speedup", "gate_speedup_mlp", "pass"} <= r.keys()' \
+    "missing a top-level key"
+json_gate "$plan_report" 'len(r["cells"]) > 0 and all({"model", "batch", "unplanned_ns", "planned_ns", "speedup", "floor", "bit_identical"} <= c.keys() for c in r["cells"])' \
+    "missing a per-cell key"
+json_gate "$plan_report" 'len(r["models"]) > 0 and all({"model", "steady_allocs", "allocs_gated", "arena_bytes", "scratch_bytes", "fused_nodes", "kernels"} <= m.keys() for m in r["models"])' \
+    "missing a per-model key"
 json_gate "$plan_report" 'len(r["cells"]) == 12 and all(c["bit_identical"] and c["speedup"] >= c["floor"] >= (1.3 if c["model"] == "tiny-mlp" else 1.0) for c in r["cells"])' \
     "a cell is not bit-identical or misses its speedup floor"
 json_gate "$plan_report" 'all(m["steady_allocs"] == 0 for m in r["models"] if m["model"] != "vit-ptq")' \
@@ -160,12 +150,8 @@ cargo run --release -q -p t2c-cluster --bin t2c-cluster -- --smoke
 echo "==> cluster loadgen (scale-out throughput gate)"
 cluster_report=bench_results/cluster_loadgen.json
 cargo run --release -q -p t2c-bench --bin cluster_loadgen
-for key in version bench created_unix device_paced pace_batch_ns configs \
-    replicas concurrency requests completed errors retries hedges wall_ns \
-    throughput_rps p50_ns p99_ns killed_replica scaleout_4v1 \
-    kill_lost_requests pass; do
-    grep -q "\"$key\"" "$cluster_report" || { echo "missing key '$key' in $cluster_report"; exit 1; }
-done
+json_gate "$cluster_report" '{"version", "bench", "created_unix", "device_paced", "pace_batch_ns", "configs", "scaleout_4v1", "kill_lost_requests", "pass"} <= r.keys() and len(r["configs"]) > 0 and all({"replicas", "concurrency", "requests", "completed", "errors", "retries", "hedges", "wall_ns", "throughput_rps", "p50_ns", "p99_ns", "killed_replica"} <= c.keys() for c in r["configs"])' \
+    "missing a top-level or per-config key"
 json_gate "$cluster_report" 'r["pass"]' "did not pass"
 
 echo "verify: all green"

@@ -8,9 +8,11 @@
 //! The CNN plans must also run without a steady-state allocation, sparse
 //! layers must pick the kernel their stored density calls for, and the
 //! static shapes `compile` plans with must be the shapes the interpreter
-//! actually produces.
+//! actually produces. 4-bit twins of the CNNs and the ViT run the grouped
+//! `i16`-lane chain through whole plans.
 
-use t2c_core::{zoo, Arena, IntModel};
+use t2c_core::intmodel::IntOp;
+use t2c_core::{zoo, Arena, IntModel, QuantSpec};
 use t2c_export::{read_intmodel, write_intmodel};
 use t2c_tensor::rng::TensorRng;
 use t2c_tensor::{with_threads, Tensor};
@@ -160,6 +162,54 @@ fn rail_valued_inputs_match_through_run_quantized() {
                     got.as_slice(),
                     want.as_slice(),
                     "{tag}: rail inputs diverge at batch {batch}, {threads} thread(s)"
+                );
+            }
+        }
+    }
+}
+
+/// `model` with every conv/linear weight code shifted from 8 to 4 bits
+/// (`|w| ≤ 7`): products against 8-bit activations then fit 18 or more
+/// reduction steps in an `i16` lane, so the plan's conv and linear tiles
+/// take the grouped chain.
+fn four_bit(mut model: IntModel) -> IntModel {
+    for node in &mut model.nodes {
+        if let IntOp::Conv2d { weight, weight_spec, .. }
+        | IntOp::Linear { weight, weight_spec, .. } = &mut node.op
+        {
+            *weight = weight.map(|w| (w / 16).clamp(-7, 7));
+            *weight_spec = QuantSpec::signed(4);
+        }
+    }
+    model
+}
+
+/// 4-bit twins of MobileNet, ResNet and the ViT.
+fn four_bit_family() -> Vec<(String, IntModel, Vec<usize>)> {
+    let mut models = cnn_family();
+    let (vit, vdims) = zoo::vit_ptq();
+    models.push(("vit-ptq".into(), vit, vdims));
+    models
+        .into_iter()
+        .map(|(tag, model, dims)| (format!("{tag}-w4"), four_bit(model), dims))
+        .collect()
+}
+
+#[test]
+fn four_bit_twins_match_run_quantized_across_batches_and_threads() {
+    for (tag, model, dims) in four_bit_family() {
+        let plan = model.compile(&dims).unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
+        let mut arena = Arena::new();
+        for batch in [1usize, 3, 8] {
+            let x = rail_codes(&batched(&dims, batch), batch).map(|v| v.clamp(-127, 127));
+            let want = model.run_quantized(&x).expect("interpreter run");
+            for threads in [1usize, 2, 4] {
+                let got = with_threads(threads, || plan.run_quantized(&x, &mut arena))
+                    .expect("planned run");
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "{tag}: planned logits diverge at batch {batch}, {threads} thread(s)"
                 );
             }
         }
